@@ -345,7 +345,6 @@ def modular_data(k: int) -> ModularData:
             acc = CycNumber.zero(n)
             for l in range(len(objs)):
                 acc = acc + s_tilde[i][l] * s_tilde[j][l].conj()
-            want = acc if i == j else None
             if i == j:
                 if norm is None:
                     norm = acc

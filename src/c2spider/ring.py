@@ -8,7 +8,11 @@ Three scalar domains, all exact (no floating point):
   projector coefficients divide by quantum integers.  Kept in a canonical
   reduced form so equality is a dictionary comparison.
 * ``CycNumber`` -- the image of the above under q -> primitive N-th root of
-  unity, represented as a residue modulo the N-th cyclotomic polynomial.
+  unity: a residue modulo the N-th cyclotomic polynomial Phi_N, stored as an
+  integer coefficient vector over one positive integer denominator in lowest
+  terms.  Phi_N is monic with integer coefficients, so products reduce
+  without leaving the integers, and inverses come from the Galois conjugates
+  q -> q^j (gcd(j, N) = 1) and their product, the norm, a rational integer.
 
 Quantum integers use the symmetric convention [n] = (q^n - q^-n)/(q - q^-1),
 so [n] specializes to zero at a root of unity of order N exactly when N | 2n.
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 class DenominatorVanishes(ArithmeticError):
@@ -231,65 +236,11 @@ def qint(n: int) -> LaurentPoly:
     return LaurentPoly({n - 1 - 2 * i: 1 for i in range(n)})
 
 
-# ---------------------------------------------------------------------
-# Ordinary (non-Laurent) polynomial helpers over Q, used for gcd and the
-# cyclotomic residue arithmetic.  Polynomials are coefficient lists,
-# low degree first, with no trailing zeros.
-
-
-def _pstrip(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _pstrip(out)
-
-def _padd(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] += y
-    return _pstrip(out)
-
-def _pdivmod(a, b):
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = Fraction(1) / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv
-        if c:
-            q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] -= c * y
-    return _pstrip(q), _pstrip(a)
-
-def _pgcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        inv = Fraction(1) / a[-1]
-        a = [c * inv for c in a]
-    return a
-
-
 # integer-coefficient helpers (primitive pseudo-remainder sequence); much
 # faster than Fraction arithmetic for the gcd work in RationalFunction
 
 
 def _int_content(p):
-    from math import gcd
     g = 0
     for c in p:
         g = gcd(g, abs(c))
@@ -360,7 +311,6 @@ def _int_div_exact(a, b):
 
 def _to_int_poly(p):
     """Fraction-coefficient list -> (integer list, common denominator)."""
-    from math import gcd
     denom = 1
     for c in p:
         d = c.denominator
@@ -385,6 +335,80 @@ def _cyclotomic_int(n: int) -> tuple:
 def cyclotomic_poly(n: int) -> tuple:
     """Coefficients (low first, exact integers) of the n-th cyclotomic polynomial."""
     return tuple(Fraction(c) for c in _cyclotomic_int(n))
+
+
+# Integer residue arithmetic modulo Phi_N.  Residues are integer lists, low
+# degree first; the per-order tables are built on first use.
+
+
+@lru_cache(maxsize=None)
+def _phi_tail(n: int) -> tuple:
+    """(deg Phi_n, the nonzero terms (j, c) of Phi_n below its leading 1)."""
+    phi = _cyclotomic_int(n)
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
+def _reduce(vec, n: int) -> list:
+    """Remainder of the integer list vec (changed in place) by the monic
+    Phi_n, padded to length deg Phi_n."""
+    deg, tail = _phi_tail(n)
+    for i in range(len(vec) - 1, deg - 1, -1):
+        c = vec[i]
+        if c:
+            base = i - deg
+            for j, t in tail:
+                vec[base + j] -= c * t
+    del vec[deg:]
+    vec.extend([0] * (deg - len(vec)))
+    return vec
+
+
+def _mulmod(a, b, n: int) -> list:
+    """Product of two residues modulo Phi_n."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _reduce(out, n)
+
+
+@lru_cache(maxsize=None)
+def _roots(n: int) -> tuple:
+    """q^e modulo Phi_n for 0 <= e < n, as integer tuples."""
+    deg, tail = _phi_tail(n)
+    cur = [1] + [0] * (deg - 1)
+    out = []
+    for _ in range(n):
+        out.append(tuple(cur))
+        top = cur.pop()
+        cur.insert(0, 0)
+        for j, t in tail:
+            cur[j] -= top * t
+    return tuple(out)
+
+
+def _galois(num, j: int, n: int) -> list:
+    """Image of a residue under the automorphism q -> q^j (gcd(j, n) = 1)."""
+    roots = _roots(n)
+    deg = len(num)
+    out = [0] * deg
+    for i, c in enumerate(num):
+        if c:
+            for t, r in enumerate(roots[i * j % n]):
+                if r:
+                    out[t] += c * r
+    return out
+
+
+def _fold(p: LaurentPoly, n: int):
+    """p with exponents folded mod n (q^n = 1 modulo Phi_n): an integer list
+    of length n and one common denominator."""
+    den = lcm(1, *(c.denominator for c in p.terms.values()))
+    vec = [0] * n
+    for e, c in p.terms.items():
+        vec[e % n] += c.numerator * (den // c.denominator)
+    return vec, den
 
 
 class RationalFunction:
@@ -540,56 +564,84 @@ class RationalFunction:
                                 LaurentPoly.from_json(data["den"]))
 
 
-class CycNumber:
-    """Element of Q[q] / Phi_N(q), the order-N cyclotomic residue ring.
+def _lowest(num, den: int):
+    """(num, den) in lowest terms, num as a tuple; den must be positive."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return tuple(num), den
 
-    ``coeffs`` has length deg Phi_N, low degree first.  q^N reduces to 1 and
-    the represented q is an abstract primitive N-th root of unity.
+
+def _cyc(order: int, num, den: int) -> "CycNumber":
+    """The CycNumber num/den from an integer list of length deg Phi_order and
+    a positive denominator."""
+    return _raw(order, *_lowest(num, den))
+
+
+def _raw(order: int, num: tuple, den: int) -> "CycNumber":
+    """A CycNumber from fields already in canonical form."""
+    x = object.__new__(CycNumber)
+    x.order, x.num, x.den, x._hash = order, num, den, None
+    return x
+
+
+class CycNumber:
+    """Element of Q[q] / Phi_N(q), the order-N cyclotomic field.
+
+    Stored as ``num / den``: ``num`` is a tuple of integers of length
+    deg Phi_N = phi(N), low degree first, and ``den`` a positive integer.
+    The pair is in lowest terms (gcd(content(num), den) = 1, zero is 0/1), so
+    each value has exactly one representation and equality compares fields.
+    q^N reduces to 1 and the represented q is an abstract primitive N-th
+    root of unity.  ``coeffs`` gives the coefficients as Fractions.
     """
 
-    __slots__ = ("order", "coeffs", "_hash")
+    __slots__ = ("order", "num", "den", "_hash")
 
     def __init__(self, order: int, coeffs):
-        phi = cyclotomic_poly(order)
-        deg = len(phi) - 1
+        """``coeffs`` are ints or Fractions, low degree first, of any length."""
         cs = [_as_fraction(c) for c in coeffs]
-        if len(cs) > deg:
-            cs = _pdivmod(cs, list(phi))[1]
-        cs = list(cs) + [Fraction(0)] * (deg - len(cs))
-        self.order = order
-        self.coeffs = tuple(cs[:deg])
-        self._hash = None
+        den = lcm(1, *(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        self.num, self.den = _lowest(_reduce(num, order), den)
+        self.order, self._hash = order, None
 
     @staticmethod
     def zero(order: int) -> "CycNumber":
-        return CycNumber(order, [])
+        return _raw(order, (0,) * _phi_tail(order)[0], 1)
 
     @staticmethod
     def one(order: int) -> "CycNumber":
-        return CycNumber(order, [1])
+        return _raw(order, _roots(order)[0], 1)
 
     @staticmethod
     def root_power(order: int, e: int) -> "CycNumber":
-        e %= order
-        return CycNumber(order, [0] * e + [1])
+        return _raw(order, _roots(order)[e % order], 1)
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _check(self, other: "CycNumber"):
         if self.order != other.order:
             raise OrderMismatch(f"orders {self.order} and {other.order} differ")
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CycNumber(self.order, [other])
+            other = self.coerce_other(other)
         if not isinstance(other, CycNumber):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order == other.order and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.order, self.coeffs))
+            self._hash = hash((self.order, self.num, self.den))
         return self._hash
 
     def __bool__(self):
@@ -600,47 +652,69 @@ class CycNumber:
             self._check(x)
             return x
         if isinstance(x, (int, Fraction)):
-            return CycNumber(self.order, [x])
+            return _raw(self.order, (x.numerator,) + (0,) * (len(self.num) - 1),
+                        x.denominator)
         raise TypeError(f"cannot coerce {type(x).__name__} to CycNumber")
 
     def __add__(self, other):
+        if isinstance(other, int):
+            # num + other*den keeps gcd(content, den): no reduction needed
+            num = list(self.num)
+            num[0] += other * self.den
+            return _raw(self.order, tuple(num), self.den)
         other = self.coerce_other(other)
-        return CycNumber(self.order,
-                         [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        d1, d2 = self.den, other.den
+        den = d1 // gcd(d1, d2) * d2
+        m1, m2 = den // d1, den // d2
+        return _cyc(self.order, [a * m1 + b * m2 for a, b in zip(self.num, other.num)],
+                    den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self.order, [-c for c in self.coeffs])
+        return _raw(self.order, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
+        if isinstance(other, int):
+            return self + -other
         return self + (-self.coerce_other(other))
 
     def __rsub__(self, other):
         return self.coerce_other(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _cyc(self.order, [c * other.numerator for c in self.num],
+                        self.den * other.denominator)
         other = self.coerce_other(other)
-        return CycNumber(self.order, _pmul(list(self.coeffs), list(other.coeffs)))
+        return _cyc(self.order, _mulmod(self.num, other.num, self.order),
+                    self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Extended-Euclid inverse modulo Phi_N; raises if self is zero."""
+        """Integer-only inverse; raises if x is zero.
+
+        For x = num/den, 1/x = den * P / (num * P), where P is the product of
+        the conjugates num(q^j), 1 < j < N, gcd(j, N) = 1.  The denominator
+        num * P is the norm of num: it is fixed by every automorphism, so it
+        is a rational integer, nonzero because Q[q]/Phi_N is a field.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = list(cyclotomic_poly(self.order))
-        # Bezout: find u with u*self + v*phi = gcd (a nonzero constant)
-        r0, r1 = phi, _pstrip(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            qt, rem = _pdivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _padd(s0, [-c for c in _pmul(qt, s1)])
-        if len(r0) != 1:
-            raise ZeroDivisionError("zero divisor in cyclotomic ring")
-        inv = Fraction(1) / r0[0]
-        return CycNumber(self.order, [c * inv for c in s0])
+        n, num = self.order, self.num
+        prod = [1] + [0] * (len(num) - 1)
+        if any(num[1:]):
+            for j in range(2, n):
+                if gcd(j, n) == 1:
+                    prod = _mulmod(prod, _galois(num, j, n), n)
+        norm = _mulmod(num, prod, n)
+        if any(norm[1:]):
+            raise ArithmeticError(f"norm of {self} is not rational")
+        norm = norm[0]
+        if norm < 0:
+            norm, prod = -norm, [-c for c in prod]
+        return _cyc(n, [c * self.den for c in prod], norm)
 
     def __truediv__(self, other):
         return self * self.coerce_other(other).inverse()
@@ -661,17 +735,15 @@ class CycNumber:
         return out
 
     def conj(self) -> "CycNumber":
-        """Galois conjugation q -> q^-1 (complex conjugation on any embedding)."""
-        out = CycNumber.zero(self.order)
-        for e, c in enumerate(self.coeffs):
-            if c:
-                out = out + CycNumber.root_power(self.order, -e) * c
-        return out
+        """Galois conjugation q -> q^-1 (complex conjugation on any embedding).
+        Automorphisms map Z[q]/Phi_N onto itself, so the content of num and
+        hence the lowest terms are kept."""
+        return _raw(self.order, tuple(_galois(self.num, -1, self.order)), self.den)
 
     def as_rational(self) -> Fraction:
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             raise ValueError(f"not rational: {self}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __repr__(self):
         bits = []
@@ -715,13 +787,9 @@ def _orders_up_to_degree(d: int) -> tuple:
 
 
 def _phi_divides(p: LaurentPoly, n: int) -> bool:
-    """Whether Phi_n divides p: fold exponents mod n (q^n = 1 modulo Phi_n),
-    then take one remainder by the monic integer polynomial Phi_n."""
-    folded = [Fraction(0)] * n
-    for e, c in p.terms.items():
-        folded[e % n] += c
-    ints, _ = _to_int_poly(folded)
-    return not any(_int_prem(ints, list(_cyclotomic_int(n))))
+    """Whether Phi_n divides p: fold exponents mod n, then take one remainder
+    by the monic integer polynomial Phi_n."""
+    return not any(_reduce(_fold(p, n)[0], n))
 
 
 def cyclotomic_orders(p: LaurentPoly) -> frozenset:
@@ -747,13 +815,13 @@ def specialize(p, order: int) -> CycNumber:
     order 16.  ``clasp.theta_at`` specializes theta networks only where
     their clasps exist.
     """
+    if order < 1:
+        raise ValueError("order must be positive")
     if isinstance(p, (int, Fraction)):
         return CycNumber(order, [p])
     if isinstance(p, LaurentPoly):
-        out = CycNumber.zero(order)
-        for e, c in p.terms.items():
-            out = out + CycNumber.root_power(order, e) * c
-        return out
+        vec, den = _fold(p, order)
+        return _cyc(order, _reduce(vec, order), den)
     if isinstance(p, RationalFunction):
         den = specialize(p.den, order)
         if den.is_zero():

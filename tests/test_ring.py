@@ -1,7 +1,9 @@
 """Ring axioms, quantum integers and cyclotomic specialization."""
 
+import cmath
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -165,3 +167,113 @@ def test_cyc_number_json_roundtrip():
 def test_laurent_json_roundtrip():
     p = qint(5) - 3 * q(-7)
     assert LaurentPoly.from_json(p.to_json()) == p
+
+
+# -- Q(zeta_N) against floating-point evaluation at exp(2 pi i / N) ----------
+
+
+def as_complex(x):
+    """x evaluated in floats, with a bound on the rounding error."""
+    root = cmath.exp(2j * cmath.pi / x.order)
+    coeffs = [float(c) for c in x.coeffs]
+    return sum(c * root ** e for e, c in enumerate(coeffs)), 1e-9 * (1 + sum(map(abs, coeffs)))
+
+
+def eval_at_root(p, order):
+    """The Laurent polynomial p at exp(2 pi i / order), term by term."""
+    return sum(float(c) * cmath.exp(2j * cmath.pi * e / order) for e, c in p.terms.items())
+
+
+def assert_near(x, want):
+    got, tol = as_complex(x)
+    assert abs(got - want) <= tol * (1 + abs(want)), (x, got, want)
+
+
+def test_specialize_matches_complex_evaluation():
+    rng = random.Random(1801)
+    for order in range(1, 41):
+        for _ in range(8):
+            p = rand_poly(rng, size=7, span=3 * order + 5)
+            x = specialize(p, order)
+            assert len(x.num) == len(cyclotomic_poly(order)) - 1
+            assert_near(x, eval_at_root(p, order))
+
+
+def test_cyc_arithmetic_matches_complex():
+    rng = random.Random(1268)
+    for order in range(1, 41):
+        root = cmath.exp(2j * cmath.pi / order)
+        for e in range(-2 * order, 2 * order + 1, 3):
+            assert_near(CycNumber.root_power(order, e), root ** e)
+        for _ in range(3):
+            x = specialize(rand_poly(rng, size=5, span=order + 2), order)
+            y = specialize(rand_poly(rng, size=5, span=order + 2), order)
+            zx, zy = as_complex(x)[0], as_complex(y)[0]
+            assert_near(x * y, zx * zy)
+            assert_near(x + y, zx + zy)
+            assert_near(x + 3, zx + 3)
+            assert_near(x - 3, zx - 3)
+            assert_near(2 - x, 2 - zx)
+            assert_near(x * -2, zx * -2)
+            assert_near(x.conj(), zx.conjugate())
+            if not x.is_zero():
+                assert_near(x.inverse(), 1 / zx)
+                assert_near(y / x, zy / zx)
+                assert x * x.inverse() == CycNumber.one(order)
+
+
+def assert_canonical(x):
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    if x.is_zero():
+        assert x.den == 1
+
+
+def test_cyc_canonical_form():
+    rng = random.Random(4)
+    for order in (1, 2, 3, 7, 12, 16, 20, 28):
+        zero = CycNumber.zero(order)
+        assert zero.num == (0,) * (len(cyclotomic_poly(order)) - 1) and zero.den == 1
+        assert CycNumber(order, cyclotomic_poly(order)) == zero
+        for _ in range(10):
+            x = specialize(rand_poly(rng), order)
+            y = specialize(rand_poly(rng) + 1, order)
+            for v in (x, y, x * y, x + y, x - x, x * 0, -x, x.conj(), x * Fraction(6, 4)):
+                assert_canonical(v)
+            assert (x - x).num == zero.num and (x - x).den == 1
+            if not y.is_zero():
+                assert_canonical(y.inverse())
+                back = x * y / y
+                assert back == x and hash(back) == hash(x)
+            # one value from differently scaled inputs
+            same = CycNumber(order, [c * 6 for c in x.coeffs]) * Fraction(1, 6)
+            assert same == x and hash(same) == hash(x)
+        a = CycNumber(order, [Fraction(1, 2), Fraction(3, 4)])
+        b = CycNumber(order, [1, 3]) / 4 + Fraction(1, 4)
+        assert a == b and hash(a) == hash(b)
+        assert CycNumber(order, [Fraction(4, 6)]) == Fraction(2, 3)
+
+
+def test_cyc_json_lowest_terms():
+    x = specialize(RationalFunction(qint(3) * Fraction(5, 3), qint(2) * 7), 20)
+    data = x.to_json()
+    assert data["order"] == 20
+    assert len(data["coeffs"]) == 8
+    for num, den in data["coeffs"]:
+        assert den > 0 and gcd(num, den) == 1
+    assert CycNumber.zero(7).to_json()["coeffs"] == [[0, 1]] * 6
+    assert repr(CycNumber.from_json(data)) == repr(x)
+
+
+def test_order_must_be_positive():
+    r = RationalFunction(LaurentPoly.one(), qint(2))
+    for order in (0, -5):
+        for build in (lambda: CycNumber.root_power(order, 3),
+                      lambda: CycNumber.zero(order),
+                      lambda: CycNumber.one(order),
+                      lambda: CycNumber(order, [1, 2]),
+                      lambda: specialize(qint(3), order),
+                      lambda: specialize(r, order),
+                      lambda: specialize(5, order)):
+            with pytest.raises(ValueError):
+                build()

@@ -1,7 +1,10 @@
 """Web data model and the face-rewriting engine."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -270,3 +273,14 @@ def test_rule_table_hash_changes_with_content():
     other = copy.deepcopy(data)
     other["loop"]["s"] = other["loop"]["d"]
     assert RuleTable.from_json(other).table_hash() != TABLE.table_hash()
+
+
+def test_rule_table_regenerates_byte_identical(tmp_path):
+    # the frozen table is data derived from quantum sp(4): rerunning the
+    # derivation must reproduce the committed file exactly
+    root = os.path.join(os.path.dirname(__file__), "..")
+    out = tmp_path / "rules_data.py"
+    subprocess.run([sys.executable, os.path.join(root, "tools", "derive_rules.py"), str(out)],
+                   check=True, capture_output=True, timeout=300)
+    with open(os.path.join(root, "src", "c2spider", "rules_data.py"), "rb") as fh:
+        assert out.read_bytes() == fh.read()

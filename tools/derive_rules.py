@@ -13,11 +13,14 @@ every reducible-face rewrite is an identity among intertwiners.  This script
    by running the web engine itself with the relation of step 2,
 4. computes the three-term crossing expansion from the braiding eigenvalues,
    validating Yang-Baxter, Reidemeister II and crossing rotation, and
-5. writes src/c2spider/rules_data.py.
+5. writes src/c2spider/rules_data.py, or the file named on the command line.
 
 Everything is exact arithmetic in Q(q).  Run from the repository root:
 
-    python3 tools/derive_rules.py
+    python3 tools/derive_rules.py [OUTPUT]
+
+``tests/test_web.py`` regenerates the table into a temporary file and checks
+that it matches the committed one byte for byte.
 """
 
 from __future__ import annotations
@@ -301,7 +304,7 @@ def fkron(a, b):
     return out
 
 
-def main():
+def main(out_path=None):
     print("== step 1: V, cup and cap ==")
     act_VV = action_on_product(GEN_V, GEN_V, 4, 4)
     cups = invariant_vectors(act_VV, 16)
@@ -813,8 +816,9 @@ def main():
                                     f"expected {(framing * delta1)!r}"
     print("  curl trace: ok")
 
-    out_path = os.path.join(os.path.dirname(__file__), "..", "src", "c2spider",
-                            "rules_data.py")
+    if out_path is None:
+        out_path = os.path.join(os.path.dirname(__file__), "..", "src", "c2spider",
+                                "rules_data.py")
     write_rules(final, out_path)
     print(f"wrote {out_path}")
     print(f"table hash: {final.table_hash()}")
@@ -860,4 +864,4 @@ def write_rules(table, path):
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])
