@@ -657,11 +657,6 @@ class CycNumber:
         raise TypeError(f"cannot coerce {type(x).__name__} to CycNumber")
 
     def __add__(self, other):
-        if isinstance(other, int):
-            # num + other*den keeps gcd(content, den): no reduction needed
-            num = list(self.num)
-            num[0] += other * self.den
-            return _raw(self.order, tuple(num), self.den)
         other = self.coerce_other(other)
         d1, d2 = self.den, other.den
         den = d1 // gcd(d1, d2) * d2
@@ -675,8 +670,6 @@ class CycNumber:
         return _raw(self.order, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            return self + -other
         return self + (-self.coerce_other(other))
 
     def __rsub__(self, other):
