@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .ring import CycNumber, LaurentPoly, RationalFunction, qint, specialize
 
@@ -315,6 +315,14 @@ class ModularData:
     def index(self, w) -> int:
         return self.simples.index(check_weight(w))
 
+    @cached_property
+    def vacuum_inv(self) -> list:
+        """The inverses 1 / S~[0][s] of the vacuum row, computed once."""
+        row = self.s_tilde[0]
+        if any(x.is_zero() for x in row):
+            raise NonIntegerResult("vanishing vacuum column in the S-matrix")
+        return [x.inverse() for x in row]
+
 
 @lru_cache(maxsize=None)
 def modular_data(k: int) -> ModularData:
@@ -337,7 +345,8 @@ def modular_data(k: int) -> ModularData:
     s00 = s_tilde[0][0]
     if s00.is_zero():
         raise NonIntegerResult("vacuum S-matrix entry vanishes")
-    omega = [s_tilde[0][i] / s00 for i in range(len(objs))]
+    inv00 = s00.inverse()
+    omega = [x * inv00 for x in s_tilde[0]]
     # S~ S~^dagger must be a scalar matrix
     norm = None
     for i in range(len(objs)):
@@ -361,10 +370,8 @@ def verlinde_multiplicity(md: ModularData, lam, mu, nu) -> int:
     i, j, l = md.index(lam), md.index(mu), md.index(nu)
     acc = CycNumber.zero(md.order)
     for s in range(len(md.simples)):
-        if md.s_tilde[0][s].is_zero():
-            raise NonIntegerResult("vanishing vacuum column in Verlinde formula")
         acc = acc + (md.s_tilde[i][s] * md.s_tilde[j][s] *
-                     md.s_tilde[l][s].conj()) / md.s_tilde[0][s]
+                     md.s_tilde[l][s].conj()) * md.vacuum_inv[s]
     val = acc / md.s_norm_sq
     r = val.as_rational()
     if r.denominator != 1 or r < 0:

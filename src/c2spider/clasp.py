@@ -97,10 +97,6 @@ def rainbow_caps(k):
     return w
 
 
-def rainbow_cups(k):
-    return wb.mirror(rainbow_caps(k))
-
-
 # -- expansion -----------------------------------------------------------------
 
 
@@ -169,14 +165,8 @@ def clasp_expand(n: int, kind: str = "single", ctx: ClaspContext = None) -> WebS
         ws = _websum_from_json(cached)
         _MEMO[memo_key] = ws
         return ws
-    prev = clasp_expand(n - 1, kind, ctx)
-    table = ctx.table
-    t0 = reduce_sum(_tensor_id(prev), table=table)
-    t1 = reduce_sum(sum_compose(t0, sum_compose(
-        WebSum.from_web(e_at(n, n - 2)), t0)), table=table)
-    t2 = reduce_sum(sum_compose(t0, sum_compose(
-        WebSum.from_web(g_at(n, n - 2)), t0)), table=table)
-    c1, c2 = _recursion_coefficients(n, t0, t1, t2, table)
+    t0, t1, t2 = _recursion_terms(n, ctx)
+    c1, c2 = _recursion_coefficients(n, t0, t1, t2, ctx.table)
     ws = t0 + t1.scale(c1) + t2.scale(c2)
     _MEMO[memo_key] = ws
     ctx.cache.put(ctx._key(n, kind), _websum_to_json(ws))
@@ -186,6 +176,17 @@ def clasp_expand(n: int, kind: str = "single", ctx: ClaspContext = None) -> WebS
 def _tensor_id(ws: WebSum) -> WebSum:
     one = wb.id_web(["s"])
     return ws.map_webs(lambda w: wb.tensor(w, one))
+
+
+def _recursion_terms(n, ctx):
+    """The reduced sums t0 = P_{n-1} (x) 1, t1 = t0 E t0 and t2 = t0 G t0."""
+    table = ctx.table
+    t0 = reduce_sum(_tensor_id(clasp_expand(n - 1, "single", ctx)), table=table)
+    t1 = reduce_sum(sum_compose(t0, sum_compose(
+        WebSum.from_web(e_at(n, n - 2)), t0)), table=table)
+    t2 = reduce_sum(sum_compose(t0, sum_compose(
+        WebSum.from_web(g_at(n, n - 2)), t0)), table=table)
+    return t0, t1, t2
 
 
 def _recursion_coefficients(n, t0, t1, t2, table):
@@ -233,14 +234,7 @@ def clasp_poles(n: int, ctx: ClaspContext = None) -> frozenset:
 def recursion_coefficients(n: int, ctx: ClaspContext = None):
     """The correction coefficients (c1, c2) in the two-term recursion."""
     ctx = ctx or default_context()
-    prev = clasp_expand(n - 1, "single", ctx)
-    table = ctx.table
-    t0 = reduce_sum(_tensor_id(prev), table=table)
-    t1 = reduce_sum(sum_compose(t0, sum_compose(
-        WebSum.from_web(e_at(n, n - 2)), t0)), table=table)
-    t2 = reduce_sum(sum_compose(t0, sum_compose(
-        WebSum.from_web(g_at(n, n - 2)), t0)), table=table)
-    return _recursion_coefficients(n, t0, t1, t2, table)
+    return _recursion_coefficients(n, *_recursion_terms(n, ctx), ctx.table)
 
 
 # -- axioms and verification ------------------------------------------------------

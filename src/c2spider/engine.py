@@ -7,10 +7,14 @@ terminates; the step budget exists to convert a corrupted rule table into a
 clean error instead of a hang.
 
 Equality of open webs is decided through the closed pairing
-``<X, Y> = eval(plug(mirror(X), Y))``: at real q the pairing of a diagram
-against its own mirror image is positive definite on the span of diagrams
-modulo relations, so a linear combination vanishes in the skein module
-exactly when its self-pairing is the zero rational function.
+``<X, Y> = eval(plug(mirror(X), Y))``, a symmetric bilinear form.  It is not
+positive definite.  At q = 1 it is semidefinite on the span of diagrams with
+a given boundary, with a sign that depends on the boundary (positive for four
+single points, negative for six), and its kernel there is the span of the
+relations.  Definiteness up to that sign persists for real q near 1, and a
+nonzero element of the skein module stays nonzero at all but finitely many
+such q, so a linear combination vanishes in the skein module exactly when
+its self-pairing is the zero rational function.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import random
 
 from .ring import LaurentPoly, RationalFunction
 from .rules import RuleTable, default_table
-from .web import Web, compose, mirror, plug, tensor
+from .web import Web, compose, mirror, plug
 
 
 class NonTerminating(RuntimeError):
@@ -119,14 +123,6 @@ def sum_compose(top: WebSum, bottom: WebSum) -> WebSum:
     for c1, w1 in top:
         for c2, w2 in bottom:
             out.add(c1 * c2, compose(w1, w2))
-    return out
-
-
-def sum_tensor(left: WebSum, right: WebSum) -> WebSum:
-    out = WebSum()
-    for c1, w1 in left:
-        for c2, w2 in right:
-            out.add(c1 * c2, tensor(w1, w2))
     return out
 
 
@@ -582,8 +578,10 @@ def pair_closed(x: WebSum, y: WebSum, table: RuleTable = None,
 
 
 def sum_is_zero(x: WebSum, table: RuleTable = None, budget: int = 10 ** 6) -> bool:
-    """Exact zero test in the skein module via the positive-definite
-    self-pairing (see module docstring)."""
+    """Exact zero test in the skein module: x vanishes exactly when its
+    self-pairing <x, x> is the zero rational function.  The pairing is
+    semidefinite, not positive definite, with a sign that depends on the
+    boundary (see module docstring)."""
     if x.is_zero():
         return True
     return pair_closed(x, x, table, budget).is_zero()

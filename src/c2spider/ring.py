@@ -3,10 +3,14 @@
 Three scalar domains, all exact (no floating point):
 
 * ``LaurentPoly`` -- Laurent polynomials in one variable q with rational
-  coefficients, the generic ground ring of the diagram calculus.
+  coefficients, the generic ground ring of the diagram calculus.  Stored as
+  an integer coefficient dict (exponent -> nonzero int) over one positive
+  integer denominator in lowest terms, so products are integer convolutions
+  and no Fraction is built on the arithmetic paths.
 * ``RationalFunction`` -- quotients of Laurent polynomials, needed because
   projector coefficients divide by quantum integers.  Kept in a canonical
-  reduced form so equality is a dictionary comparison.
+  reduced form so equality is a field comparison; the reduction runs a
+  primitive pseudo-remainder gcd on the integer coefficient lists.
 * ``CycNumber`` -- the image of the above under q -> primitive N-th root of
   unity: a residue modulo the N-th cyclotomic polynomial Phi_N, stored as an
   integer coefficient vector over one positive integer denominator in lowest
@@ -33,55 +37,63 @@ class OrderMismatch(ValueError):
     """Arithmetic between cyclotomic numbers of different orders."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x):
+    """x itself if it is an int or a Fraction (both carry ``numerator`` and
+    ``denominator``); anything else raises TypeError."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class LaurentPoly:
     """Laurent polynomial in q over the rationals.
 
-    Stored as a map exponent -> nonzero Fraction.  Instances are immutable;
+    Stored as ``num / den``: ``num`` maps each exponent to a nonzero integer
+    and ``den`` is a positive integer.  The pair is in lowest terms
+    (gcd(content(num), den) = 1, zero is {} over 1), so each polynomial has
+    exactly one representation and equality compares fields.  Products are
+    integer convolutions and sums align the two denominators by one lcm.
+    ``terms`` gives the coefficients as Fractions.  Instances are immutable;
     all operations return new objects.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = _as_fraction(c)
-                if c:
-                    acc = clean.get(e)
-                    c = c if acc is None else acc + c
-                    if c:
-                        clean[int(e)] = c
-                    else:
-                        clean.pop(int(e), None)
-        self.terms = clean
+        """``terms`` maps exponents to ints or Fractions (a dict or pairs);
+        repeated exponents add up."""
+        pairs = list(terms.items() if isinstance(terms, dict) else terms or ())
+        den = lcm(1, *(_rational(c).denominator for _, c in pairs))
+        num = {}
+        for e, c in pairs:
+            if c:
+                e = int(e)
+                s = num.get(e, 0) + c.numerator * (den // c.denominator)
+                if s:
+                    num[e] = s
+                else:
+                    del num[e]
+        self.num, self.den = _lowest_terms(num, den)
         self._hash = None
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly()
+        return _laurent_raw({}, 1)
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly({0: 1})
+        return _laurent_raw({0: 1}, 1)
 
     @staticmethod
     def const(c) -> "LaurentPoly":
-        return LaurentPoly({0: _as_fraction(c)})
+        c = _rational(c)
+        return _laurent_raw({0: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def q_power(n: int) -> "LaurentPoly":
-        return LaurentPoly({n: 1})
+        return _laurent_raw({n: 1}, 1)
 
     @staticmethod
     def coerce(x) -> "LaurentPoly":
@@ -93,21 +105,26 @@ class LaurentPoly:
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """The map exponent -> nonzero Fraction coefficient (a fresh copy)."""
+        return {e: Fraction(c, self.den) for e, c in self.num.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def min_exp(self) -> int:
-        return min(self.terms)
+        return min(self.num)
 
     def max_exp(self) -> int:
-        return max(self.terms)
+        return max(self.num)
 
     def bar(self) -> "LaurentPoly":
         """The involution q -> q^-1."""
-        return LaurentPoly({-e: c for e, c in self.terms.items()})
+        return _laurent_raw({-e: c for e, c in self.num.items()}, self.den)
 
     def eval_at_one(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
+        return Fraction(sum(self.num.values()), self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -116,15 +133,15 @@ class LaurentPoly:
             return RationalFunction.from_poly(self) == other
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self.terms.items())))
+            self._hash = hash((frozenset(self.num.items()), self.den))
         return self._hash
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     # -- ring operations ----------------------------------------------
 
@@ -132,24 +149,27 @@ class LaurentPoly:
         if isinstance(other, RationalFunction):
             return RationalFunction.from_poly(self) + other
         other = LaurentPoly.coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            den, out = d1, dict(self.num)
+            pairs = other.num.items()
+        else:
+            den = d1 // gcd(d1, d2) * d2
+            m1, m2 = den // d1, den // d2
+            out = {e: c * m1 for e, c in self.num.items()}
+            pairs = [(e, c * m2) for e, c in other.num.items()]
+        for e, c in pairs:
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.terms, r._hash = out, None
-        return r
+                del out[e]
+        return _laurent(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = {e: -c for e, c in self.terms.items()}
-        r._hash = None
-        return r
+        return _laurent_raw({e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, RationalFunction):
@@ -164,17 +184,13 @@ class LaurentPoly:
             return RationalFunction.from_poly(self) * other
         other = LaurentPoly.coerce(other)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        get = out.get
+        right = list(other.num.items())
+        for e1, c1 in self.num.items():
+            for e2, c2 in right:
                 e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.terms, r._hash = out, None
-        return r
+                out[e] = get(e, 0) + c1 * c2
+        return _laurent({e: c for e, c in out.items() if c}, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -199,11 +215,12 @@ class LaurentPoly:
     # -- display / serialization ---------------------------------------
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
+        terms = self.terms
         bits = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e in sorted(terms, reverse=True):
+            c = terms[e]
             if e == 0:
                 bits.append(f"{c}")
             else:
@@ -218,13 +235,47 @@ class LaurentPoly:
         return s.replace("+ -", "- ")
 
     def to_json(self):
-        """List of [exponent, numerator, denominator] triples, sorted."""
-        return [[e, self.terms[e].numerator, self.terms[e].denominator]
-                for e in sorted(self.terms)]
+        """List of [exponent, numerator, denominator] triples, sorted, each
+        coefficient in lowest terms."""
+        den, out = self.den, []
+        for e in sorted(self.num):
+            c = self.num[e]
+            g = gcd(c, den)
+            out.append([e, c // g, den // g])
+        return out
 
     @staticmethod
     def from_json(data) -> "LaurentPoly":
-        return LaurentPoly({int(e): Fraction(int(n), int(d)) for e, n, d in data})
+        data = [(int(e), int(n), int(d)) for e, n, d in data]
+        den = lcm(1, *(d for _, _, d in data))
+        return _laurent({e: n * (den // d) for e, n, d in data if n}, den)
+
+
+def _lowest_terms(num: dict, den: int):
+    """(num, den) in lowest terms; num maps exponents to nonzero ints and den
+    must be positive."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+    return num, den
+
+
+def _laurent(num: dict, den: int) -> LaurentPoly:
+    """The LaurentPoly num/den (nonzero int values, positive den)."""
+    return _laurent_raw(*_lowest_terms(num, den))
+
+
+def _laurent_raw(num: dict, den: int) -> LaurentPoly:
+    """A LaurentPoly from fields already in canonical form."""
+    x = object.__new__(LaurentPoly)
+    x.num, x.den, x._hash = num, den, None
+    return x
+
+
+def _is_one(p: LaurentPoly) -> bool:
+    return p.den == 1 and p.num == {0: 1}
 
 
 def qint(n: int) -> LaurentPoly:
@@ -233,24 +284,16 @@ def qint(n: int) -> LaurentPoly:
         return LaurentPoly.zero()
     if n < 0:
         return -qint(-n)
-    return LaurentPoly({n - 1 - 2 * i: 1 for i in range(n)})
+    return _laurent_raw({n - 1 - 2 * i: 1 for i in range(n)}, 1)
 
 
 # integer-coefficient helpers (primitive pseudo-remainder sequence); much
 # faster than Fraction arithmetic for the gcd work in RationalFunction
 
 
-def _int_content(p):
-    g = 0
-    for c in p:
-        g = gcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g or 1
-
-
 def _int_primitive(p):
-    g = _int_content(p)
+    """p divided by its content, with a positive leading coefficient."""
+    g = gcd(*p)
     if g > 1:
         p = [c // g for c in p]
     if p and p[-1] < 0:
@@ -259,18 +302,22 @@ def _int_primitive(p):
 
 
 def _int_prem(a, b):
-    """Pseudo-remainder of integer polynomials (lc(b)^k * a mod b)."""
+    """Remainder of a by b up to a nonzero integer factor: each step divides
+    exactly when lc(b) divides the leading term and otherwise scales by
+    lc(b) first, so the primitive part equals that of the pseudo-remainder."""
     a = list(a)
+    while a and not a[-1]:
+        a.pop()
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        if not a[-1]:
-            a.pop()
-            continue
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = [c * lb for c in a]
-        for i, c in enumerate(b):
-            a[i + shift] -= la * c
+    while len(a) > db:
+        la = a.pop()
+        shift = len(a) - db
+        if la % lb:
+            a = [c * lb for c in a]
+        else:
+            la //= lb
+        for i in range(db):
+            a[i + shift] -= la * b[i]
         while a and not a[-1]:
             a.pop()
     return a
@@ -294,29 +341,19 @@ def _int_gcd_poly(a, b):
 def _int_div_exact(a, b):
     """Exact division of integer polynomials (b must divide a)."""
     a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    lb = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c, rem = divmod(a[i + len(b) - 1], lb)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1 - db, -1, -1):
+        c, rem = divmod(a[i + db], lb)
         if rem:
             raise ArithmeticError("inexact polynomial division")
         if c:
             q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] -= c * y
-    if any(a):
+            for j in range(db):
+                a[i + j] -= c * b[j]
+    if any(a[:db]):
         raise ArithmeticError("inexact polynomial division")
     return q
-
-
-def _to_int_poly(p):
-    """Fraction-coefficient list -> (integer list, common denominator)."""
-    denom = 1
-    for c in p:
-        d = c.denominator
-        if d != 1:
-            denom = denom // gcd(denom, d) * d
-    return [int(c * denom) for c in p], denom
 
 
 @lru_cache(maxsize=None)
@@ -404,19 +441,17 @@ def _galois(num, j: int, n: int) -> list:
 def _fold(p: LaurentPoly, n: int):
     """p with exponents folded mod n (q^n = 1 modulo Phi_n): an integer list
     of length n and one common denominator."""
-    den = lcm(1, *(c.denominator for c in p.terms.values()))
     vec = [0] * n
-    for e, c in p.terms.items():
-        vec[e % n] += c.numerator * (den // c.denominator)
-    return vec, den
+    for e, c in p.num.items():
+        vec[e % n] += c
+    return vec, p.den
 
 
 class RationalFunction:
     """Quotient of Laurent polynomials in canonical reduced form.
 
-    Canonical form: numerator/denominator share no polynomial factor, the
-    denominator is an ordinary polynomial in q with nonzero constant term
-    whose lowest-exponent coefficient is positive.
+    Canonical form: numerator/denominator share no polynomial factor, and
+    the denominator is an ordinary polynomial in q with constant term 1.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -428,32 +463,31 @@ class RationalFunction:
             self.num, self.den = LaurentPoly.zero(), LaurentPoly.one()
             self._hash = None
             return
-        if den.terms == {0: 1}:
+        if _is_one(den):
             self.num, self.den = num, den
             self._hash = None
             return
-        # shift both into ordinary polynomials, tracking the net q-power
-        sn, sd = num.min_exp(), den.min_exp()
-        pn = [Fraction(0)] * (num.max_exp() - sn + 1)
-        for e, c in num.terms.items():
+        # shift both into ordinary integer polynomials, tracking the q-power:
+        # num/den = (pn / num.den) / (pd / den.den) * q^shift
+        sn, sd = min(num.num), min(den.num)
+        pn = [0] * (max(num.num) - sn + 1)
+        for e, c in num.num.items():
             pn[e - sn] = c
-        pd = [Fraction(0)] * (den.max_exp() - sd + 1)
-        for e, c in den.terms.items():
+        pd = [0] * (max(den.num) - sd + 1)
+        for e, c in den.num.items():
             pd[e - sd] = c
         # integer gcd (primitive pseudo-remainders), then one exact division
-        ipn, dn = _to_int_poly(pn)
-        ipd, dd = _to_int_poly(pd)
-        g = _int_gcd_poly(ipn, ipd)
+        g = _int_gcd_poly(pn, pd)
         if len(g) > 1:
-            ipn = _int_div_exact(ipn, g)
-            ipd = _int_div_exact(ipd, g)
+            pn = _int_div_exact(pn, g)
+            pd = _int_div_exact(pd, g)
         # normalize: denominator constant term scaled to 1
-        scale = Fraction(dd, dn) / Fraction(ipd[0])
+        lead = pd[0]
+        sign = 1 if lead > 0 else -1
         shift = sn - sd
-        self.num = LaurentPoly({i + shift: Fraction(c) * scale
-                                for i, c in enumerate(ipn) if c})
-        self.den = LaurentPoly({i: Fraction(c, ipd[0])
-                                for i, c in enumerate(ipd) if c})
+        self.num = _laurent({i + shift: c * sign * den.den for i, c in enumerate(pn) if c},
+                            lead * sign * num.den)
+        self.den = _laurent({i: c * sign for i, c in enumerate(pd) if c}, lead * sign)
         self._hash = None
 
     @staticmethod
@@ -474,7 +508,7 @@ class RationalFunction:
         return self.num.is_zero()
 
     def is_poly(self) -> bool:
-        return self.den == LaurentPoly.one()
+        return _is_one(self.den)
 
     def as_laurent(self) -> LaurentPoly:
         if not self.is_poly():
@@ -521,7 +555,7 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = RationalFunction.coerce(other)
-        if self.den.terms == {0: 1} and other.den.terms == {0: 1}:
+        if _is_one(self.den) and _is_one(other.den):
             out = RationalFunction.__new__(RationalFunction)
             out.num, out.den, out._hash = self.num * other.num, self.den, None
             return out
@@ -602,7 +636,7 @@ class CycNumber:
 
     def __init__(self, order: int, coeffs):
         """``coeffs`` are ints or Fractions, low degree first, of any length."""
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_rational(c) for c in coeffs]
         den = lcm(1, *(c.denominator for c in cs))
         num = [c.numerator * (den // c.denominator) for c in cs]
         self.num, self.den = _lowest(_reduce(num, order), den)

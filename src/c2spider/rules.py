@@ -44,11 +44,6 @@ class FaceRule:
     word: tuple          # side types, as traced
     rhs: tuple           # ((RationalFunction, (verts, edges)), ...)
 
-    @property
-    def port_types(self):
-        m = len(self.word)
-        return tuple(_ext_type(self.word[(j - 1) % m], self.word[j]) for j in range(m))
-
 
 class RuleTable:
     """Loop values, face rules and the crossing expansion."""

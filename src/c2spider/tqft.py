@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .cat import (ModularData, NonIntegerResult, check_weight, modular_data,
-                  q_order, simples, triple_multiplicity)
+                  fusion_dict, q_order, simples)
 from .ring import CycNumber
 
 
@@ -119,11 +119,15 @@ def statespace_dim(spine: Spine, k: int) -> int:
     n_edges = len(spine.edges)
     total = 0
     labeling = [None] * n_edges
+    fusions = {}      # (lam, mu) -> {nu: multiplicity} at level k, this call only
 
     def vertex_factor(v):
         e1, e2, e3 = ends[v]
-        return triple_multiplicity(labeling[e1], labeling[e2], labeling[e3],
-                                   level=k)
+        pair = (labeling[e1], labeling[e2])
+        table = fusions.get(pair)
+        if table is None:
+            table = fusions[pair] = fusion_dict(*pair, level=k)
+        return table.get(labeling[e3], 0)
 
     def rec(edge):
         nonlocal total
@@ -161,10 +165,10 @@ def verlinde_dim(genus: int, k: int) -> int:
     md = modular_data(k)
     if genus == 1:
         return len(md.simples)
+    norm = md.s_norm_sq ** (genus - 1)
     acc = CycNumber.zero(md.order)
-    for i in range(len(md.simples)):
-        col = md.s_tilde[0][i]
-        acc = acc + (md.s_norm_sq ** (genus - 1)) * (col ** (2 - 2 * genus))
+    for inv in md.vacuum_inv:
+        acc = acc + norm * inv ** (2 * genus - 2)
     r = acc.as_rational()
     if r.denominator != 1 or r < 0:
         raise NonIntegerResult(f"Verlinde dimension {r} is not a nonnegative integer")
@@ -196,10 +200,6 @@ def mat_eq(a, b):
 def mat_identity(n, order):
     return [[CycNumber.one(order) if i == j else CycNumber.zero(order)
              for j in range(n)] for i in range(n)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
 
 
 def proportional(a, b):
@@ -345,7 +345,7 @@ def curve_operator_torus(curve, k: int):
     zero = CycNumber.zero(md.order)
     base = [[zero for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        base[i][i] = md.s_tilde[v_index][i] / md.s_tilde[0][i]
+        base[i][i] = md.s_tilde[v_index][i] * md.vacuum_inv[i]
     if curve == MERIDIAN:
         return base
     word = _word_reaching(curve)

@@ -132,9 +132,6 @@ class Web:
     def out_types(self):
         return tuple(self.etype[d] for d in self.outputs())
 
-    def is_closed(self) -> bool:
-        return not self.boundary
-
     def n_vertices(self) -> int:
         return len(self.vkind)
 

@@ -1,5 +1,6 @@
 """Weights, quantum dimensions, fusion and modular data."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -163,3 +164,16 @@ def test_verlinde_matches_fusion():
                 for nu in md.simples:
                     assert cat.verlinde_multiplicity(md, lam, mu, nu) == \
                         fd.get(nu, 0)
+
+
+def test_vacuum_inverses():
+    md = cat.modular_data(2)
+    assert [x * y for x, y in zip(md.s_tilde[0], md.vacuum_inv)] == \
+        [cat.qdim_at((0, 0), md.order)] * len(md.simples)
+    # a vanishing vacuum entry is refused with the typed error, not a bare
+    # ZeroDivisionError
+    row = list(md.s_tilde[0])
+    row[1] = row[1] * 0
+    bad = dataclasses.replace(md, s_tilde=[row] + md.s_tilde[1:])
+    with pytest.raises(cat.NonIntegerResult):
+        cat.verlinde_multiplicity(bad, (0, 0), (1, 0), (1, 0))

@@ -1,5 +1,7 @@
 """Projector expansion, axioms, traces, theta networks and the cache."""
 
+import hashlib
+
 import pytest
 
 from c2spider import cat
@@ -158,6 +160,20 @@ def test_box_turnback_detection(ctx):
     merged = wb.compose(wb.merge_vertex_web(), w)
     closed2 = wb.trace_closure(wb.compose(wb.split_vertex_web(), merged))
     assert cl.eval_box_web(closed2, ctx).is_zero()
+
+
+def test_p3_cache_payload_bytes(tmp_path):
+    # a recorded digest of the P_3 cache file: cache files written by earlier
+    # versions stay valid only while the payload bytes do not change
+    table = default_table()
+    ctx = cl.ClaspContext(table, ClaspCache(root=str(tmp_path / "cache"),
+                                            table_hash=table.table_hash()))
+    cl._MEMO.pop((table.table_hash(), "single", 3), None)
+    cl.clasp_expand(3, "single", ctx)
+    with open(ctx.cache._path(ctx._key(3, "single")), "rb") as fh:
+        payload = fh.read()
+    assert hashlib.sha256(payload).hexdigest() == \
+        "fac92dffdf4da9aec68da954782214afeef66880b66e013ea2627ed293d9bef8"
 
 
 def test_cache_roundtrip_and_gc(tmp_path):

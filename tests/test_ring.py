@@ -169,6 +169,61 @@ def test_laurent_json_roundtrip():
     assert LaurentPoly.from_json(p.to_json()) == p
 
 
+# -- LaurentPoly canonical form: integer coefficients over one denominator ---
+
+
+def assert_laurent_canonical(p):
+    assert isinstance(p.den, int) and p.den > 0
+    assert all(isinstance(c, int) and c for c in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    if p.is_zero():
+        assert p.num == {} and p.den == 1
+
+
+def test_laurent_one_value_one_representation():
+    from_ints = LaurentPoly({-1: 2, 3: -4})
+    from_fractions = LaurentPoly({-1: Fraction(6, 3), 3: Fraction(-8, 2), 5: Fraction(0)})
+    by_arithmetic = (q(-1) * Fraction(4, 3) + q(3) * Fraction(-8, 3)) * Fraction(3, 2)
+    from_pairs = LaurentPoly([(-1, 1), (3, -4), (-1, 1), (7, 2), (7, -2)])
+    for p in (from_ints, from_fractions, by_arithmetic, from_pairs):
+        assert_laurent_canonical(p)
+        assert (p.num, p.den) == ({-1: 2, 3: -4}, 1)
+        assert p == from_ints and hash(p) == hash(from_ints)
+    half = LaurentPoly({0: Fraction(1, 2), 2: Fraction(3, 4)})
+    assert (half.num, half.den) == ({0: 2, 2: 3}, 4)
+    assert half.to_json() == [[0, 1, 2], [2, 3, 4]]
+    assert half != LaurentPoly({0: 2, 2: 3}) and half * 4 == LaurentPoly({0: 2, 2: 3})
+    again = LaurentPoly.from_json(half.to_json())
+    assert (again.num, again.den) == (half.num, half.den) and hash(again) == hash(half)
+    assert half.terms == {0: Fraction(1, 2), 2: Fraction(3, 4)}
+
+
+def test_laurent_lowest_terms():
+    rng = random.Random(1801)
+    for _ in range(200):
+        a, b = rand_poly(rng), rand_poly(rng)
+        for p in (a, b, a + b, a - b, a * b, -a, a.bar(), a * Fraction(6, 4), a - a):
+            assert_laurent_canonical(p)
+    # a sum whose common denominator cancels comes back over 1
+    s = LaurentPoly({0: Fraction(1, 6)}) + LaurentPoly({0: Fraction(5, 6), 1: Fraction(1, 3)}) \
+        - LaurentPoly({1: Fraction(1, 3)})
+    assert (s.num, s.den) == ({0: 1}, 1)
+    for zero in (LaurentPoly.zero(), LaurentPoly(), LaurentPoly({3: Fraction(0, 5)}),
+                 LaurentPoly({1: Fraction(1, 3)}) - LaurentPoly({1: Fraction(1, 3)}),
+                 LaurentPoly({2: Fraction(1, 7)}) * 0, LaurentPoly.const(Fraction(0))):
+        assert (zero.num, zero.den) == ({}, 1)
+        assert zero == LaurentPoly.zero() and hash(zero) == hash(LaurentPoly.zero())
+
+
+def test_rational_function_json_unchanged():
+    r = RationalFunction(qint(3) * Fraction(5, 3), qint(2) * 7)
+    assert r.to_json() == {"num": [[-1, 5, 21], [1, 5, 21], [3, 5, 21]],
+                           "den": [[0, 1, 1], [2, 1, 1]]}
+    for p in (r.num, r.den):
+        assert_laurent_canonical(p)
+    assert RationalFunction.from_json(r.to_json()) == r
+
+
 # -- Q(zeta_N) against floating-point evaluation at exp(2 pi i / N) ----------
 
 
