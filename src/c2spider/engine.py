@@ -395,33 +395,28 @@ def _split_components(w: Web):
 
 def eval_closed(w, table: RuleTable = None, budget: int = 10 ** 6,
                 memo: dict = None) -> RationalFunction:
-    """Scalar value of a closed web (the coefficient of the empty web).
+    """Scalar value of a closed web or closed ``WebSum`` (the coefficient of
+    the empty web).
 
-    Crossings and tetravalent vertices are resolved first; clasp boxes are
-    not allowed here (the clasp module expands them with its own pruning).
-    Components are evaluated independently through a canonical-form memo.
+    Tetravalent vertices are expanded in place and crossings, where present,
+    resolved; clasp boxes are not allowed here (the clasp module expands
+    them with its own pruning).  A whole web is never keyed: it is split
+    into connected components, and each component is evaluated through a
+    memo on its canonical key.
     """
     table = table or default_table()
     if memo is None:
         memo = _EVAL_MEMO.setdefault(table.table_hash(), {})
     bud = _Budget(budget)
-    if isinstance(w, Web):
-        w = WebSum.from_web(w)
     total = _ZERO
-    for coeff, web in w:
+    for coeff, web in ([(_ONE, w)] if isinstance(w, Web) else w):
         if web.boundary:
             raise ValueError("eval_closed needs a closed web")
         if web.has_kind("clasp"):
             raise ValueError("expand clasp boxes before closed evaluation")
-        work = WebSum.from_web(web)
         if web.has_kind("tet"):
-            work = work.map_webs(expand_tetravalent)
-        if any(ww.has_kind("cross") for _, ww in work):
-            resolved = WebSum()
-            for c, ww in work:
-                for c2, ww2 in resolve_crossings(ww, table):
-                    resolved.add(c * c2, ww2)
-            work = resolved
+            web = expand_tetravalent(web)
+        work = resolve_crossings(web, table) if web.has_kind("cross") else [(_ONE, web)]
         for c, ww in work:
             total = total + coeff * c * _eval_plain(ww, table, bud, memo)
     return total

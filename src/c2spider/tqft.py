@@ -121,6 +121,10 @@ def statespace_dim(spine: Spine, k: int) -> int:
     labeling = [None] * n_edges
     fusions = {}      # (lam, mu) -> {nu: multiplicity} at level k, this call only
 
+    closes = [[] for _ in range(n_edges)]   # vertices whose last edge is e
+    for v in range(spine.n_vertices):
+        closes[max(ends[v])].append(v)
+
     def vertex_factor(v):
         e1, e2, e3 = ends[v]
         pair = (labeling[e1], labeling[e2])
@@ -129,31 +133,24 @@ def statespace_dim(spine: Spine, k: int) -> int:
             table = fusions[pair] = fusion_dict(*pair, level=k)
         return table.get(labeling[e3], 0)
 
-    def rec(edge):
+    def rec(edge, prod):
         nonlocal total
         if edge == n_edges:
-            prod = 1
-            for v in range(spine.n_vertices):
-                prod *= vertex_factor(v)
-                if not prod:
-                    return
             total += prod
             return
         for w in objs:
             labeling[edge] = w
-            # prune on any vertex whose three edges are all set
-            ok = True
-            for v in range(spine.n_vertices):
-                if all(labeling[e] is not None for e in ends[v]) \
-                        and max(ends[v]) == edge:
-                    if vertex_factor(v) == 0:
-                        ok = False
-                        break
-            if ok:
-                rec(edge + 1)
+            # the vertices this edge closes are fully labeled: prune on them
+            factor = prod
+            for v in closes[edge]:
+                factor *= vertex_factor(v)
+                if not factor:
+                    break
+            if factor:
+                rec(edge + 1, factor)
         labeling[edge] = None
 
-    rec(0)
+    rec(0, 1)
     return total
 
 

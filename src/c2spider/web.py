@@ -289,49 +289,81 @@ class Web:
 
     def canonical_key(self):
         """Hashable key identifying the web up to orientation-preserving
-        isomorphism of rooted combinatorial maps.  Webs with boundary are
-        rooted at the boundary basepoint; closed components are minimized
-        over all starting darts."""
+        isomorphism of rooted combinatorial maps.
+
+        The part reachable from the boundary is encoded by one breadth-first
+        sweep rooted at the boundary basepoint.  Each closed component is
+        encoded from every dart of its rarest edge type (fewest darts, ties to
+        ``'d'``) and the least encoding is kept.  A sweep from one dart
+        determines the rooted map, and an isomorphism of components maps
+        the darts of one edge type onto the darts of that type, so the two
+        components have the same set of candidate encodings: the minimum over
+        that class is still a complete invariant."""
         if self._ckey is not None:
             return self._ckey
-        encoded_main, visited = self._encode_from_boundary()
+        order = {d: i for i, d in enumerate(self.boundary)}
+        encoded_main = self._encode_sweep(order) if order else ()
         comps = []
-        unvisited = set(self.etype) - visited
+        unvisited = set(self.etype).difference(order)
         while unvisited:
-            _, comp = self._encode_component(min(unvisited))
-            best = min(self._encode_component(r)[0] for r in sorted(comp))
-            comps.append(best)
+            comp = self._component(min(unvisited))
             unvisited -= comp
+            comps.append(self._encode_closed(comp))
         comps.sort()
         self._ckey = (self.free_loops, self.n_in, encoded_main, tuple(comps))
         return self._ckey
 
-    def _encode_from_boundary(self):
-        if not self.boundary:
-            return (), set()
-        order = {}
-        for d in self.boundary:
-            order[d] = len(order)
-        queue = []
-        for d in self.boundary:
-            queue.append(d)
-        return self._encode_sweep(queue, order)
+    def _component(self, root):
+        """Darts connected to ``root`` through edges and vertices."""
+        comp = {root}
+        stack = [root]
+        while stack:
+            d = stack.pop()
+            v = self.dart_vertex.get(d)
+            near = list(self.vlegs[v]) if v is not None else []
+            p = self.pair.get(d)
+            if p is not None:
+                near.append(p)
+            for x in near:
+                if x not in comp:
+                    comp.add(x)
+                    stack.append(x)
+        return comp
 
-    def _encode_component(self, root):
-        order = {root: 0}
-        return self._encode_sweep([root], order)
+    def _encode_closed(self, comp):
+        """Least sweep encoding of a closed component over the darts of its
+        rarest edge type."""
+        count = {}
+        for d in comp:
+            t = self.etype[d]
+            count[t] = count.get(t, 0) + 1
+        rare = min(count, key=lambda t: (count[t], t))
+        best = None
+        for r in comp:
+            if self.etype[r] == rare:
+                enc = self._encode_sweep({r: 0}, best)
+                if enc is not None:
+                    best = enc
+        return best
 
-    def _encode_sweep(self, queue, order):
-        """Assign canonical numbers to darts by breadth-first sweep; returns
-        (encoding, visited darts)."""
+    def _encode_sweep(self, order, best=None):
+        """Number darts by a breadth-first sweep from the darts already in
+        ``order`` (which it extends) and return the encoding.
+
+        Each vertex record is built when its vertex is first reached, reading
+        the legs cyclically from the entering dart.  Given ``best``, the
+        encoding of a sweep over the same component, return None as soon as
+        this encoding is known not to be less than it."""
+        pair, dart_vertex, vlegs = self.pair, self.dart_vertex, self.vlegs
+        queue = list(order)
+        reached = set()
+        vrecs = []
+        tied = best is not None
         idx = 0
-        vertex_order = {}
-        vertex_list = []
-        queue = list(queue)
         while idx < len(queue):
             d = queue[idx]
             idx += 1
-            p = self.pair.get(d)
+            p = pair.get(d)
             if p is not None and p not in order:
                 order[p] = len(order)
                 queue.append(p)
@@ -339,39 +371,51 @@ class Web:
             for probe in (p, d):
                 if probe is None:
                     continue
-                v = self.dart_vertex.get(probe)
-                if v is None or v in vertex_order:
+                v = dart_vertex.get(probe)
+                if v is None or v in reached:
                     continue
-                vertex_order[v] = len(vertex_order)
-                vertex_list.append((v, probe))
-                legs = self.vlegs[v]
+                reached.add(v)
+                legs = vlegs[v]
+                n = len(legs)
                 k = legs.index(probe)
-                for i in range(len(legs)):
-                    leg = legs[(k + i) % len(legs)]
-                    if leg not in order:
-                        order[leg] = len(order)
+                rot = []
+                for i in range(n):
+                    leg = legs[(k + i) % n]
+                    o = order.get(leg)
+                    if o is None:
+                        o = order[leg] = len(order)
                         queue.append(leg)
-        vrecs = []
-        for v, entry in vertex_list:
-            legs = self.vlegs[v]
-            k = legs.index(entry)
-            rot = tuple(order[legs[(k + i) % len(legs)]] for i in range(len(legs)))
-            # canonical traversal reads legs cyclically from the entering one,
-            # so positional vertex data must be re-expressed relative to it
-            kind = self.vkind[v]
-            extra = self.vextra[v]
-            if kind == "cross":
-                extra = ("over", (extra[1] - k) % 2)
-            elif kind == "tet":
-                extra = ("axis", (extra[1] - k) % 2)
-            elif kind == "clasp":
-                extra = extra + (k,)
-            vrecs.append((kind, extra, rot))
-        pairs = tuple(sorted((order[d], order[p]) for d, p in self.pair.items()
-                             if d in order and p in order and order[d] < order[p]))
-        types = tuple(self.etype[d] for d in sorted(order, key=order.get))
+                    rot.append(o)
+                # positional vertex data is re-expressed relative to the
+                # entering leg, where the canonical reading starts
+                kind = self.vkind[v]
+                extra = self.vextra[v]
+                if kind == "cross":
+                    extra = ("over", (extra[1] - k) % 2)
+                elif kind == "tet":
+                    extra = ("axis", (extra[1] - k) % 2)
+                elif kind == "clasp":
+                    extra = extra + (k,)
+                rec = (kind, extra, tuple(rot))
+                if tied:
+                    other = best[0][len(vrecs)]
+                    if rec > other:
+                        return None
+                    tied = rec == other
+                vrecs.append(rec)
+        pairs = []
+        for d, i in order.items():
+            p = pair.get(d)
+            if p is not None and i < order[p]:
+                pairs.append((i, order[p]))
+        pairs.sort()
+        # insertion order of ``order`` is its numbering
+        types = tuple(self.etype[d] for d in order)
         bnd = tuple(order[d] for d in self.boundary if d in order)
-        return (tuple(vrecs), pairs, types, bnd), set(order)
+        enc = (tuple(vrecs), tuple(pairs), types, bnd)
+        if tied and enc >= best:
+            return None
+        return enc
 
     def __repr__(self):
         return (f"<Web {self.n_vertices()}v {len(self.pair) // 2}e "

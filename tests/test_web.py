@@ -9,8 +9,10 @@ import sys
 import pytest
 
 from c2spider import cat
+from c2spider import clasp as cl
 from c2spider import engine as eng
 from c2spider import web as wb
+from c2spider.cache import ClaspCache
 from c2spider.engine import WebSum, eval_closed, reduce_sum, resolve_crossings
 from c2spider.ring import LaurentPoly, RationalFunction as RF, specialize
 from c2spider.rules import default_table
@@ -104,6 +106,64 @@ def test_json_roundtrip_bit_exact():
         assert again.canonical_key() == w.canonical_key()
 
 
+def renumbered(w, rng):
+    """The same closed web with darts and vertices renamed at random, stored
+    in a random order, and each trivalent rotation read from a random leg."""
+    dmap = dict(zip(w.etype, rng.sample(range(3 * len(w.etype)), len(w.etype))))
+    vmap = dict(zip(w.vkind, rng.sample(range(3 * len(w.vkind)), len(w.vkind))))
+    out = wb.Web()
+    for v in rng.sample(list(w.vkind), len(w.vkind)):
+        legs = [dmap[d] for d in w.vlegs[v]]
+        if w.vkind[v] == "tri":
+            k = rng.randrange(3)
+            legs = legs[k:] + legs[:k]
+        out.vkind[vmap[v]] = w.vkind[v]
+        out.vextra[vmap[v]] = w.vextra[v]
+        out.vlegs[vmap[v]] = legs
+    for d in rng.sample(list(w.etype), len(w.etype)):
+        out.etype[dmap[d]] = w.etype[d]
+        out.dart_vertex[dmap[d]] = vmap[w.dart_vertex[d]]
+        out.pair[dmap[d]] = dmap[w.pair[d]]
+    out.free_loops = w.free_loops
+    out._next_dart = max(out.etype, default=-1) + 1
+    out._next_vertex = max(out.vkind, default=-1) + 1
+    return out
+
+
+def test_canonical_key_of_closed_webs(tmp_path, seed=5):
+    """Keys of closed multi-component webs ignore how darts and vertices are
+    named, and closed webs with different values get different keys."""
+    rng = random.Random(seed)
+    ctx = cl.ClaspContext(TABLE, ClaspCache(root=str(tmp_path),
+                                            table_hash=TABLE.table_hash()))
+    p3 = [w for _, w in cl.clasp_expand(3, "single", ctx)]
+    pairings = [wb.plug(wb.mirror(a), b) for a in p3 for b in p3]
+    pairings = [w for w in pairings if w.vkind]
+    # connected four-vertex webs, one per value: all have 8 single and 4
+    # double darts, so they share the root class size but not the key
+    squares = {}
+    for _ in range(200):
+        w = random_closed_web(rng, 4)
+        if w.n_vertices() == 4 and len(eng._split_components(w)) == 1:
+            squares.setdefault(eval_closed(w), w)
+    squares = list(squares.values())
+    assert len(squares) >= 2
+    webs = [wb.tensor(a, b) for a in squares for b in squares]
+    webs += [wb.tensor(rng.choice(pairings), rng.choice(pairings)) for _ in range(40)]
+    webs += [wb.tensor(rng.choice(pairings), s) for s in squares]
+    webs += [wb.tensor(random_closed_web(rng, 10), random_closed_web(rng, 10))
+             for _ in range(20)]
+    for w in webs:
+        assert len(eng._split_components(w)) >= 2
+        assert renumbered(w, rng).canonical_key() == w.canonical_key()
+    keys = {}
+    for w in webs:
+        value = keys.setdefault(w.canonical_key(), eval_closed(w))
+        assert value == eval_closed(w)
+    assert wb.tensor(squares[0], squares[0]).canonical_key() != \
+        wb.tensor(squares[0], squares[1]).canonical_key()
+
+
 # -- evaluation -----------------------------------------------------------------
 
 
@@ -148,6 +208,7 @@ def test_multiplicativity_random(seed=20260811):
         b = random_closed_web(rng, 6)
         ab = wb.tensor(a, b)
         assert eval_closed(ab) == eval_closed(a) * eval_closed(b)
+        assert ab._ckey is None   # only its components are keyed
 
 
 def test_confluence_500_random_webs(seed=702):
