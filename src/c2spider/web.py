@@ -294,11 +294,12 @@ class Web:
         The part reachable from the boundary is encoded by one breadth-first
         sweep rooted at the boundary basepoint.  Each closed component is
         encoded from every dart of its rarest edge type (fewest darts, ties to
-        ``'d'``) and the least encoding is kept.  A sweep from one dart
-        determines the rooted map, and an isomorphism of components maps
-        the darts of one edge type onto the darts of that type, so the two
-        components have the same set of candidate encodings: the minimum over
-        that class is still a complete invariant."""
+        ``'d'``) and the least encoding is kept, comparing the edge list
+        first.  A sweep from one dart determines the rooted map, and an
+        isomorphism of components maps the darts of one edge type onto the
+        darts of that type, so the two components have the same set of
+        candidate encodings: the minimum over that class is still a complete
+        invariant."""
         if self._ckey is not None:
             return self._ckey
         order = {d: i for i, d in enumerate(self.boundary)}
@@ -332,7 +333,7 @@ class Web:
 
     def _encode_closed(self, comp):
         """Least sweep encoding of a closed component over the darts of its
-        rarest edge type."""
+        rarest edge type, edge list first (see ``_encode_sweep``)."""
         count = {}
         for d in comp:
             t = self.etype[d]
@@ -351,22 +352,34 @@ class Web:
         ``order`` (which it extends) and return the encoding.
 
         Each vertex record is built when its vertex is first reached, reading
-        the legs cyclically from the entering dart.  Given ``best``, the
-        encoding of a sweep over the same component, return None as soon as
-        this encoding is known not to be less than it."""
+        the legs cyclically from the entering dart, and each edge when its
+        lower-numbered dart is popped.  Given ``best``, the encoding of a
+        sweep over the same component, return None as soon as this encoding
+        is known not to be less than it in the order edges, types, vertex
+        records.  Edges come first because they carry the shape: on a
+        trivalent component every sweep gives the same vertex records."""
         pair, dart_vertex, vlegs = self.pair, self.dart_vertex, self.vlegs
         queue = list(order)
         reached = set()
         vrecs = []
+        pairs = []
         tied = best is not None
-        idx = 0
-        while idx < len(queue):
-            d = queue[idx]
-            idx += 1
+        for idx, d in enumerate(queue):
             p = pair.get(d)
-            if p is not None and p not in order:
-                order[p] = len(order)
-                queue.append(p)
+            if p is not None:
+                j = order.get(p)
+                if j is None:
+                    j = order[p] = len(order)
+                    queue.append(p)
+                if idx < j:
+                    # darts are popped in numbering order: edges come sorted
+                    edge = (idx, j)
+                    if tied:
+                        other = best[1][len(pairs)]
+                        if edge > other:
+                            return None
+                        tied = edge == other
+                    pairs.append(edge)
             # explore the vertex of the partner (entering dart p)
             for probe in (p, d):
                 if probe is None:
@@ -396,24 +409,12 @@ class Web:
                     extra = ("axis", (extra[1] - k) % 2)
                 elif kind == "clasp":
                     extra = extra + (k,)
-                rec = (kind, extra, tuple(rot))
-                if tied:
-                    other = best[0][len(vrecs)]
-                    if rec > other:
-                        return None
-                    tied = rec == other
-                vrecs.append(rec)
-        pairs = []
-        for d, i in order.items():
-            p = pair.get(d)
-            if p is not None and i < order[p]:
-                pairs.append((i, order[p]))
-        pairs.sort()
+                vrecs.append((kind, extra, tuple(rot)))
         # insertion order of ``order`` is its numbering
         types = tuple(self.etype[d] for d in order)
         bnd = tuple(order[d] for d in self.boundary if d in order)
         enc = (tuple(vrecs), tuple(pairs), types, bnd)
-        if tied and enc >= best:
+        if tied and (types, bnd, enc[0]) >= (best[2], best[3], best[0]):
             return None
         return enc
 
