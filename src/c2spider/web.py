@@ -357,7 +357,8 @@ class Web:
         sweep over the same component, return None as soon as this encoding
         is known not to be less than it in the order edges, types, vertex
         records.  Edges come first because they carry the shape: on a
-        trivalent component every sweep gives the same vertex records."""
+        trivalent component with no edge from a vertex to itself, every sweep
+        gives the same vertex records."""
         pair, dart_vertex, vlegs = self.pair, self.dart_vertex, self.vlegs
         queue = list(order)
         reached = set()
