@@ -7,10 +7,18 @@ structure
 
     P_n = P_{n-1} (x) 1  +  c1 . P E P  +  c2 . P G P
 
-with E the adjacent cap-cup and G the adjacent double-edge bridge; the
-coefficients are pinned numerically (exactly, in Q(q)) by the annihilation
-conditions, which determine them uniquely.  Expansions are memoized on disk
-keyed by the relation-table hash.
+with E the adjacent cap-cup and G the adjacent double-edge bridge.  The
+coefficients have a closed form in quantum integers [m],
+
+    c1(n) = [n+1][2n-2] / ([2][n][2n+2]),    c2(n) = [n-1] / ([2][n]),
+
+the single-clasp recursion for B2 (D. Kim, "Jones-Wenzl idempotents for
+rank 2 simple Lie algebras", Osaka J. Math. 44, 2007; the web calculus is
+G. Kuperberg, "Spiders for rank 2 Lie algebras", Comm. Math. Phys. 180,
+1996).  In the normalization of the frozen relation table these are exactly
+the solutions of the annihilation conditions; tests/test_clasp.py checks
+that by solving the conditions with closed pairings.  Expansions are
+memoized on disk keyed by the relation-table hash.
 
 Clasps of mixed weight (a, b) with a, b > 0 exist as labels but are never
 expanded; double-type clasps expand only for n <= 1 (the identity cases).
@@ -29,7 +37,7 @@ from . import web as wb
 from .cache import ClaspCache
 from .engine import WebSum, eval_closed, reduce_sum, sum_compose, sum_is_zero
 from .ring import (CycNumber, DenominatorVanishes, RationalFunction,
-                   cyclotomic_orders, specialize)
+                   cyclotomic_orders, qint, specialize)
 from .rules import RuleTable, default_table
 
 _ONE = RationalFunction.coerce(1)
@@ -166,7 +174,7 @@ def clasp_expand(n: int, kind: str = "single", ctx: ClaspContext = None) -> WebS
         _MEMO[memo_key] = ws
         return ws
     t0, t1, t2 = _recursion_terms(n, ctx)
-    c1, c2 = _recursion_coefficients(n, t0, t1, t2, ctx.table)
+    c1, c2 = recursion_coefficients(n)
     ws = t0 + t1.scale(c1) + t2.scale(c2)
     _MEMO[memo_key] = ws
     ctx.cache.put(ctx._key(n, kind), _websum_to_json(ws))
@@ -189,52 +197,32 @@ def _recursion_terms(n, ctx):
     return t0, t1, t2
 
 
-def _recursion_coefficients(n, t0, t1, t2, table):
-    """Solve the two annihilation conditions for the correction coefficients.
-
-    Both cap . P_n and merge . P_n land in spaces where everything factoring
-    through the lower clasp is proportional, so one closed pairing per
-    condition determines the solution; the full annihilation is then verified
-    by the turnback tests.
-    """
-    cap = WebSum.from_web(cap_at(n, n - 2))
-    tau = WebSum.from_web(merge_at(n, n - 2))
-    rows = []
-    for probe in (cap, tau):
-        xs = [reduce_sum(sum_compose(probe, t), table=table) for t in (t0, t1, t2)]
-        pairings = [eng.pair_closed(xs[0], x, table=table) for x in xs]
-        if pairings[0].is_zero():
-            raise RuntimeError("degenerate test pairing while solving clasp "
-                               "recursion coefficients")
-        rows.append(pairings)
-    (l0, l1, l2), (m0, m1, m2) = rows
-    det = l1 * m2 - l2 * m1
-    if det.is_zero():
-        raise RuntimeError("singular system for clasp recursion coefficients")
-    c1 = (l2 * m0 - l0 * m2) / det
-    c2 = (l0 * m1 - l1 * m0) / det
+def recursion_coefficients(n: int, ctx: ClaspContext = None):
+    """The correction coefficients (c1, c2) in the two-term recursion for P_n,
+    n >= 2, in closed form (see the module docstring).  ``ctx`` is accepted
+    for symmetry with the other clasp functions; the coefficients need no
+    expansion."""
+    if n < 2:
+        raise ValueError("the recursion starts at two strands")
+    c1 = RationalFunction(qint(n + 1) * qint(2 * n - 2),
+                          qint(2) * qint(n) * qint(2 * n + 2))
+    c2 = RationalFunction(qint(n - 1), qint(2) * qint(n))
     return c1, c2
 
 
 def clasp_poles(n: int, ctx: ClaspContext = None) -> frozenset:
     """The orders N of the roots of unity at which P_n does not exist.
 
-    N is a pole order when Phi_N divides the denominator of some coefficient
-    of the expansion, i.e. when that denominator specializes to zero at a
-    primitive N-th root of unity.  P_0 and P_1 are identities and have none.
+    The recursion builds P_n from the coefficients c1(m) and c2(m) for
+    2 <= m <= n, so N is a pole order when Phi_N divides the reduced
+    denominator of one of them.  Nothing is expanded.  P_0 and P_1 are
+    identities and have none.
     """
     if n < 0:
         raise ValueError("strand count must be nonnegative")
-    if n <= 1:
-        return frozenset()
-    dens = {c.den for c, _ in clasp_expand(n, "single", ctx)}
-    return frozenset().union(*(cyclotomic_orders(d) for d in dens))
-
-
-def recursion_coefficients(n: int, ctx: ClaspContext = None):
-    """The correction coefficients (c1, c2) in the two-term recursion."""
-    ctx = ctx or default_context()
-    return _recursion_coefficients(n, *_recursion_terms(n, ctx), ctx.table)
+    return frozenset().union(*(cyclotomic_orders(c.den)
+                               for m in range(2, n + 1)
+                               for c in recursion_coefficients(m)))
 
 
 # -- axioms and verification ------------------------------------------------------

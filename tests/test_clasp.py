@@ -10,7 +10,8 @@ from c2spider import engine as eng
 from c2spider import web as wb
 from c2spider.cache import ClaspCache, cache_gc
 from c2spider.ring import (DenominatorVanishes, LaurentPoly,
-                           RationalFunction as RF, qint, specialize)
+                           RationalFunction as RF, cyclotomic_orders, qint,
+                           specialize)
 from c2spider.rules import default_table
 
 q = LaurentPoly.q_power
@@ -48,6 +49,49 @@ def test_recursion_coefficients_n2(ctx):
     delta1 = ctx.table.loop["s"]
     assert c1 == RF.coerce(-1) / delta1
     assert c2 == RF.coerce(1) / RF.coerce(qint(2) * qint(2))
+
+
+def _solve_recursion_coefficients(n, ctx):
+    """Oracle for the closed form: solve the two annihilation conditions.
+
+    Both cap . P_n and merge . P_n land in spaces where everything factoring
+    through the lower clasp is proportional, so one closed pairing per
+    condition determines (c1, c2).
+    """
+    table = ctx.table
+    t0, t1, t2 = cl._recursion_terms(n, ctx)
+    rows = []
+    for probe in (cl.cap_at(n, n - 2), cl.merge_at(n, n - 2)):
+        xs = [eng.reduce_sum(eng.sum_compose(eng.WebSum.from_web(probe), t),
+                             table=table) for t in (t0, t1, t2)]
+        pairings = [eng.pair_closed(xs[0], x, table=table) for x in xs]
+        assert not pairings[0].is_zero()
+        rows.append(pairings)
+    (l0, l1, l2), (m0, m1, m2) = rows
+    det = l1 * m2 - l2 * m1
+    assert not det.is_zero()
+    return (l2 * m0 - l0 * m2) / det, (l0 * m1 - l1 * m0) / det
+
+
+def test_recursion_coefficients_match_pairing_solve(ctx):
+    for n in (2, 3, 4):
+        assert cl.recursion_coefficients(n, ctx) == \
+            _solve_recursion_coefficients(n, ctx)
+
+
+def test_recursion_coefficients_partial_trace(ctx):
+    # closing the last strand of P_n = t0 + c1 t1 + c2 t2 gives
+    # (delta + c1 + c2 beta) P_{n-1}, and the trace of P_n is (-1)^n qdim
+    delta = ctx.table.loop["s"]
+    beta = eng.eval_closed(wb.trace_closure(cl.g_at(2, 0)),
+                           table=ctx.table) / delta
+    assert beta == RF.coerce(qint(5))
+    for n in range(2, 11):
+        c1, c2 = cl.recursion_coefficients(n, ctx)
+        assert delta + c1 + c2 * beta == \
+            -cat.qdim((n, 0)) / cat.qdim((n - 1, 0))
+    with pytest.raises(ValueError):
+        cl.recursion_coefficients(1, ctx)
 
 
 def test_expand_two_strands_shape(ctx):
@@ -141,6 +185,27 @@ def test_clasp_poles(ctx):
         cl.clasp_poles(-1, ctx)
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("called where no expansion or pairing may run")
+
+
+def test_clasp_pole_sets(ctx):
+    want = {2: {4, 12}, 3: {3, 4, 6, 12, 16}, 4: {3, 4, 6, 8, 12, 16, 20}}
+    for n, poles in want.items():
+        assert cl.clasp_poles(n, ctx) == poles
+        # oracle: the poles of the coefficients of the expansion itself
+        dens = {c.den for c, _ in cl.clasp_expand(n, "single", ctx)}
+        assert frozenset().union(*map(cyclotomic_orders, dens)) == poles
+
+
+def test_clasp_poles_expand_nothing(ctx, monkeypatch):
+    monkeypatch.setattr(eng, "pair_closed", _forbidden)
+    monkeypatch.setattr(cl, "clasp_expand", _forbidden)
+    poles = cl.clasp_poles(8, ctx)
+    assert cl.clasp_poles(4, ctx) < poles
+    assert 36 in poles   # [18] in the denominator of c1(8)
+
+
 def test_theta_at_refuses_clasp_poles(ctx):
     with pytest.raises(cl.ClaspPole):
         cl.theta_at(3, 2, 1, 16, ctx)
@@ -174,6 +239,37 @@ def test_p3_cache_payload_bytes(tmp_path):
         payload = fh.read()
     assert hashlib.sha256(payload).hexdigest() == \
         "fac92dffdf4da9aec68da954782214afeef66880b66e013ea2627ed293d9bef8"
+
+
+def _cache_payload_digest(tmp_path, n):
+    table = default_table()
+    ctx = cl.ClaspContext(table, ClaspCache(root=str(tmp_path / "cache"),
+                                            table_hash=table.table_hash()))
+    cl._MEMO.pop((table.table_hash(), "single", n), None)
+    cl.clasp_expand(n, "single", ctx)
+    with open(ctx.cache._path(ctx._key(n, "single")), "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_p2_cache_payload_bytes(tmp_path):
+    assert _cache_payload_digest(tmp_path, 2) == \
+        "05ec43ca5d275ec530ca1bc59baa226e11e113b31b79bfcf0e9d6625b8da19ce"
+
+
+def test_p4_cache_payload_bytes(tmp_path):
+    assert _cache_payload_digest(tmp_path, 4) == \
+        "664f82ac576268d256e7d991c6aa7f3f7004f603693fb011f34bb1c29989c4dc"
+
+
+def test_expansion_needs_no_pairing(tmp_path, monkeypatch):
+    monkeypatch.setattr(eng, "pair_closed", _forbidden)
+    cl._MEMO.clear()
+    table = default_table()
+    ctx = cl.ClaspContext(table, ClaspCache(root=str(tmp_path / "cache"),
+                                            table_hash=table.table_hash()))
+    for n in (2, 3, 4):
+        cl.clasp_expand(n, "single", ctx)
+        assert ctx.cache.get(ctx._key(n, "single")) is not None
 
 
 def test_cache_roundtrip_and_gc(tmp_path):
