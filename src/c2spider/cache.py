@@ -87,7 +87,7 @@ class ClaspCache:
             fd, tmp = tempfile.mkstemp(dir=self._dir(), suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
-                    json.dump(payload, fh, sort_keys=True)
+                    fh.write(json.dumps(payload, sort_keys=True))
                 os.replace(tmp, self._path(key))
             finally:
                 if os.path.exists(tmp):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .ring import LaurentPoly, RationalFunction
+from .ring import RationalFunction, _sum_fractions
 from .rules import RuleTable, default_table
 from .web import Web, compose, mirror, plug
 
@@ -563,13 +563,18 @@ def to_mini(diagram: Web):
 
 def pair_closed(x: WebSum, y: WebSum, table: RuleTable = None,
                 budget: int = 10 ** 6) -> RationalFunction:
-    """Closed pairing <x, y>: glue mirror(x) against y and evaluate."""
+    """Closed pairing <x, y>: glue mirror(x) against y and evaluate.  The
+    products c1 c2 <w1, w2> are summed unreduced and normalized once."""
     table = table or default_table()
-    total = _ZERO
-    for c1, w1 in sum_mirror(x):
-        for c2, w2 in y:
-            total = total + c1 * c2 * eval_closed(plug(w1, w2), table, budget)
-    return total
+
+    def products():
+        for c1, w1 in sum_mirror(x):
+            for c2, w2 in y:
+                v = eval_closed(plug(w1, w2), table, budget)
+                if not v.is_zero():
+                    yield c1.num * c2.num * v.num, c1.den * c2.den * v.den
+
+    return _sum_fractions(products())
 
 
 def sum_is_zero(x: WebSum, table: RuleTable = None, budget: int = 10 ** 6) -> bool:

@@ -136,8 +136,13 @@ class LaurentPoly:
         return self.den == other.den and self.num == other.num
 
     def __hash__(self):
+        # a constant compares equal to its int or Fraction, so it hashes as one
         if self._hash is None:
-            self._hash = hash((frozenset(self.num.items()), self.den))
+            num = self.num
+            if not num or (len(num) == 1 and 0 in num):
+                self._hash = hash(Fraction(num.get(0, 0), self.den))
+            else:
+                self._hash = hash((frozenset(num.items()), self.den))
         return self._hash
 
     def __bool__(self):
@@ -338,6 +343,16 @@ def _int_gcd_poly(a, b):
     return _int_primitive(a)
 
 
+def _int_mul(a, b):
+    """Product of two integer polynomials (dense lists, low degree first)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
 def _int_div_exact(a, b):
     """Exact division of integer polynomials (b must divide a)."""
     a = list(a)
@@ -402,12 +417,7 @@ def _reduce(vec, n: int) -> list:
 
 def _mulmod(a, b, n: int) -> list:
     """Product of two residues modulo Phi_n."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return _reduce(out, n)
+    return _reduce(_int_mul(a, b), n)
 
 
 @lru_cache(maxsize=None)
@@ -452,6 +462,13 @@ class RationalFunction:
 
     Canonical form: numerator/denominator share no polynomial factor, and
     the denominator is an ordinary polynomial in q with constant term 1.
+
+    The constructor is the one normalizing path (a full gcd).  Arithmetic
+    starts from reduced operands and cancels only what can cancel: a product
+    takes gcd(n1, d2) and gcd(n2, d1), never the gcd of the product, and a sum
+    over denominators with gcd g only takes a gcd against g (P. Henrici, J. ACM
+    3, 1956; Knuth, TAOCP vol. 2, 4.5.1).  Rational content and q-powers are
+    carried beside primitive integer polynomials (Gauss's lemma).
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -467,27 +484,11 @@ class RationalFunction:
             self.num, self.den = num, den
             self._hash = None
             return
-        # shift both into ordinary integer polynomials, tracking the q-power:
-        # num/den = (pn / num.den) / (pd / den.den) * q^shift
-        sn, sd = min(num.num), min(den.num)
-        pn = [0] * (max(num.num) - sn + 1)
-        for e, c in num.num.items():
-            pn[e - sn] = c
-        pd = [0] * (max(den.num) - sd + 1)
-        for e, c in den.num.items():
-            pd[e - sd] = c
-        # integer gcd (primitive pseudo-remainders), then one exact division
-        g = _int_gcd_poly(pn, pd)
-        if len(g) > 1:
-            pn = _int_div_exact(pn, g)
-            pd = _int_div_exact(pd, g)
-        # normalize: denominator constant term scaled to 1
-        lead = pd[0]
-        sign = 1 if lead > 0 else -1
-        shift = sn - sd
-        self.num = _laurent({i + shift: c * sign * den.den for i, c in enumerate(pn) if c},
-                            lead * sign * num.den)
-        self.den = _laurent({i: c * sign for i, c in enumerate(pd) if c}, lead * sign)
+        # num/den = (den.den / num.den) q^(sn - sd) pn / pd with integer pn, pd
+        pn, sn = _dense(num.num)
+        pd, sd = _dense(den.num)
+        pn, pd = _cancel(pn, pd)
+        self.num, self.den = _canonical(pn, sn - sd, pd, den.den, num.den)
         self._hash = None
 
     @staticmethod
@@ -526,8 +527,10 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a Laurent polynomial (an int, a Fraction) hashes as itself, since
+        # it compares equal to itself as a RationalFunction
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            self._hash = hash(self.num) if _is_one(self.den) else hash((self.num, self.den))
         return self._hash
 
     def __bool__(self):
@@ -535,17 +538,39 @@ class RationalFunction:
 
     def __add__(self, other):
         other = RationalFunction.coerce(other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        n1, s1, p1, a1, b1 = _parts(self)
+        n2, s2, p2, a2, b2 = _parts(other)
+        g = _int_gcd_poly(p1, p2) if len(p1) > 1 and len(p2) > 1 else [1]
+        r1, r2 = (_int_div_exact(p1, g), _int_div_exact(p2, g)) if len(g) > 1 else (p1, p2)
+        # self + other = t / (b r1 r2 g) with
+        # t = (a1 b/b1) q^s1 n1 r2 + (a2 b/b2) q^s2 n2 r1
+        b = lcm(b1, b2)
+        s = min(s1, s2)
+        u, v = _int_mul(n1, r2), _int_mul(n2, r1)
+        k1, k2, o1, o2 = a1 * (b // b1), a2 * (b // b2), s1 - s, s2 - s
+        t = [0] * max(len(u) + o1, len(v) + o2)
+        for i, c in enumerate(u, o1):
+            t[i] = c * k1
+        for i, c in enumerate(v, o2):
+            t[i] += c * k2
+        while t and not t[-1]:
+            t.pop()
+        if not t:
+            return _RF_ZERO
+        # a factor common to t and the denominator divides g
+        t, g = _cancel(t, g)
+        return _rf(*_canonical(t, s, _int_mul(_int_mul(r1, r2), g), 1, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        out.num, out.den, out._hash = -self.num, self.den, None
-        return out
+        return _rf(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-RationalFunction.coerce(other))
@@ -556,10 +581,16 @@ class RationalFunction:
     def __mul__(self, other):
         other = RationalFunction.coerce(other)
         if _is_one(self.den) and _is_one(other.den):
-            out = RationalFunction.__new__(RationalFunction)
-            out.num, out.den, out._hash = self.num * other.num, self.den, None
-            return out
-        return RationalFunction(self.num * other.num, self.den * other.den)
+            return _rf(self.num * other.num, self.den)
+        if self.is_zero() or other.is_zero():
+            return _RF_ZERO
+        # (a1/b1) q^s1 n1/p1 * (a2/b2) q^s2 n2/p2
+        n1, s1, p1, a1, b1 = _parts(self)
+        n2, s2, p2, a2, b2 = _parts(other)
+        n1, p2 = _cancel(n1, p2)
+        n2, p1 = _cancel(n2, p1)
+        return _rf(*_canonical(_int_mul(n1, n2), s1 + s2, _int_mul(p1, p2),
+                               a1 * a2, b1 * b2))
 
     __rmul__ = __mul__
 
@@ -567,7 +598,15 @@ class RationalFunction:
         other = RationalFunction.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        if self.is_zero():
+            return self
+        # (a1/b1) q^s1 n1/p1 / ((a2/b2) q^s2 n2/p2)
+        n1, s1, p1, a1, b1 = _parts(self)
+        n2, s2, p2, a2, b2 = _parts(other)
+        n1, n2 = _cancel(n1, n2)
+        p2, p1 = _cancel(p2, p1)
+        return _rf(*_canonical(_int_mul(n1, p2), s1 - s2, _int_mul(p1, n2),
+                               a1 * b2, b1 * a2))
 
     def __rtruediv__(self, other):
         return RationalFunction.coerce(other) / self
@@ -596,6 +635,88 @@ class RationalFunction:
     def from_json(data) -> "RationalFunction":
         return RationalFunction(LaurentPoly.from_json(data["num"]),
                                 LaurentPoly.from_json(data["den"]))
+
+
+def _rf(num: LaurentPoly, den: LaurentPoly) -> RationalFunction:
+    """A RationalFunction from fields already in canonical form."""
+    x = object.__new__(RationalFunction)
+    x.num, x.den, x._hash = num, den, None
+    return x
+
+
+_RF_ZERO = _rf(LaurentPoly.zero(), LaurentPoly.one())
+
+
+def _dense(terms: dict):
+    """A nonempty exponent -> int dict as a dense integer list, low degree
+    first, and the exponent of its first entry."""
+    low = min(terms)
+    out = [0] * (max(terms) - low + 1)
+    for e, c in terms.items():
+        out[e - low] = c
+    return out, low
+
+
+def _parts(r: RationalFunction):
+    """(n, s, p, a, b) with r = (a/b) q^s n/p for nonzero r: n and p dense
+    integer lists, n[0] != 0, and p primitive with p[0] = a > 0."""
+    n, s = _dense(r.num.num)
+    den = r.den
+    return n, s, ([1] if _is_one(den) else _dense(den.num)[0]), den.den, r.num.den
+
+
+def _cancel(a, b):
+    """a and b divided by their primitive gcd; no gcd is taken when either
+    is a constant."""
+    if len(a) > 1 and len(b) > 1:
+        g = _int_gcd_poly(a, b)
+        if len(g) > 1:
+            return _int_div_exact(a, g), _int_div_exact(b, g)
+    return a, b
+
+
+def _canonical(pn, shift: int, pd, a: int, b: int):
+    """Canonical (num, den) fields of (a/b) q^shift pn/pd, for dense integer
+    lists pn (nonzero) and pd (pd[0] != 0) with no common factor and
+    positive integers a, b: the content and sign of pd move into the
+    numerator's denominator, and pd is scaled to constant term 1."""
+    c = gcd(*pd)
+    if pd[0] < 0:
+        c, a = -c, -a
+    if c != 1:
+        pd = [x // c for x in pd]
+    lead = pd[0]
+    num = _laurent({i + shift: x * a for i, x in enumerate(pn) if x}, b * abs(c) * lead)
+    return num, _laurent_raw({i: x for i, x in enumerate(pd) if x}, lead)
+
+
+def _sum_fractions(pairs) -> RationalFunction:
+    """The sum of the fractions num/den over (LaurentPoly, LaurentPoly)
+    pairs that need not be reduced (each den nonzero).  Numerators over the
+    same den are added first, the multiplier from each distinct den to their
+    least common multiple is found once, and the total is normalized once."""
+    groups = {}
+    for num, den in pairs:
+        acc = groups.get(den)
+        groups[den] = num if acc is None else acc + num
+    common, parts = [1], []
+    for den, num in groups.items():
+        if num.is_zero():
+            continue
+        # den = (c / den.den) q^shift p with p primitive and p[0] > 0
+        p, shift = _dense(den.num)
+        c = gcd(*p) if p[0] > 0 else -gcd(*p)
+        if c != 1:
+            p = [x // c for x in p]
+        parts.append((num * LaurentPoly({-shift: Fraction(den.den, c)}), p))
+        if len(p) > 1:
+            g = _int_gcd_poly(common, p) if len(common) > 1 else [1]
+            common = _int_mul(common, _int_div_exact(p, g) if len(g) > 1 else p)
+    total = LaurentPoly.zero()
+    for num, p in parts:
+        m = _int_div_exact(common, p)
+        total = total + num * _laurent_raw({i: x for i, x in enumerate(m) if x}, 1)
+    return RationalFunction(total, _laurent_raw({i: x for i, x in enumerate(common) if x}, 1))
 
 
 def _lowest(num, den: int):

@@ -261,6 +261,39 @@ def test_p4_cache_payload_bytes(tmp_path):
         "664f82ac576268d256e7d991c6aa7f3f7004f603693fb011f34bb1c29989c4dc"
 
 
+@pytest.mark.slow
+def test_p5_cache_payload_bytes(tmp_path):
+    # about a minute cold; run with -m slow
+    assert _cache_payload_digest(tmp_path, 5) == \
+        "64fa37a16f860bd87d3cc1e6f3d9574b318c756c12a390b7cfb21bebe755ab07"
+
+
+def _pair_termwise(x, y, table):
+    total = RF.coerce(0)
+    for c1, w1 in eng.sum_mirror(x):
+        for c2, w2 in y:
+            total = total + c1 * c2 * eng.eval_closed(wb.plug(w1, w2), table)
+    return total
+
+
+def test_pair_closed_equals_termwise_sum(ctx):
+    p3 = cl.clasp_expand(3, "single", ctx)
+    capped = eng.reduce_sum(eng.sum_compose(eng.WebSum.from_web(cl.cap_at(3, 1)), p3),
+                            table=ctx.table)
+    assert len(capped) == 4
+    # capped is zero in the skein module; without one term it is not
+    part = eng.WebSum()
+    for c, w in list(capped)[1:]:
+        part.add(c, w)
+    for x, y in ((capped, capped), (part, part), (part, capped), (capped, part)):
+        got = eng.pair_closed(x, y, ctx.table)
+        want = _pair_termwise(x, y, ctx.table)
+        assert (got.num.num, got.num.den, got.den.num, got.den.den) == \
+            (want.num.num, want.num.den, want.den.num, want.den.den)
+    assert eng.pair_closed(capped, capped, ctx.table).is_zero()
+    assert not eng.pair_closed(part, part, ctx.table).is_zero()
+
+
 def test_expansion_needs_no_pairing(tmp_path, monkeypatch):
     monkeypatch.setattr(eng, "pair_closed", _forbidden)
     cl._MEMO.clear()

@@ -13,6 +13,7 @@ from c2spider.ring import (
     LaurentPoly,
     OrderMismatch,
     RationalFunction,
+    _sum_fractions,
     cyclotomic_orders,
     cyclotomic_poly,
     qint,
@@ -222,6 +223,113 @@ def test_rational_function_json_unchanged():
     for p in (r.num, r.den):
         assert_laurent_canonical(p)
     assert RationalFunction.from_json(r.to_json()) == r
+
+
+def test_equal_values_hash_equal():
+    r = RationalFunction.from_poly(qint(3))
+    assert r == qint(3) and r in {qint(3)} and qint(3) in {r}
+    for c in (0, 3, -7, Fraction(2, 3)):
+        p, rc = LaurentPoly.const(c), RationalFunction.coerce(c)
+        assert p == c and hash(p) == hash(c)
+        assert rc == c and hash(rc) == hash(c)
+        assert rc in {c} and p in {rc}
+    assert len({3, Fraction(3), LaurentPoly.const(3), RationalFunction.coerce(3)}) == 1
+    x = RationalFunction(qint(2), qint(3))
+    assert len({x, RationalFunction(qint(2) * qint(5), qint(3) * qint(5))}) == 1
+
+
+# -- Q(q) arithmetic against the normalizing constructor ----------------------
+
+
+def rand_qint_product(rng, most=3):
+    p = LaurentPoly.one()
+    for _ in range(rng.randint(0, most)):
+        p = p * qint(rng.randint(1, 8))
+    return p
+
+
+def rand_rf(rng):
+    """A random element of Q(q): quantum-integer products (shared cyclotomic
+    factors), non-cyclotomic denominators, either sign, rational content and
+    a q-shift on both sides."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        num, den = rand_qint_product(rng), rand_qint_product(rng)
+    elif kind == 1:
+        num, den = rand_poly(rng) * rand_qint_product(rng), rand_poly(rng) + q(1)
+    elif kind == 2:
+        num = rand_qint_product(rng) * (rand_poly(rng) + 1)
+        den = rand_qint_product(rng) * (rand_poly(rng) + q(1))
+    else:
+        num, den = rand_poly(rng), rand_qint_product(rng)
+    num = num * Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 12)) \
+        * q(rng.randint(-4, 4))
+    den = den * Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 6)) \
+        * q(rng.randint(-3, 3))
+    return RationalFunction(num, den if den else LaurentPoly.one())
+
+
+def fields(r):
+    return r.num.num, r.num.den, r.den.num, r.den.den
+
+
+def assert_rf_canonical(r):
+    assert_laurent_canonical(r.num)
+    assert_laurent_canonical(r.den)
+    assert r.den.min_exp() == 0 and r.den.terms[0] == 1
+    if r.is_zero():
+        assert r.den == LaurentPoly.one()
+
+
+def test_rational_function_ops_match_normalizing_constructor():
+    rng = random.Random(1268)
+    for _ in range(300):
+        x = rand_rf(rng)
+        pick = rng.randrange(6)
+        if pick == 0:
+            y = x * rand_rf(rng)          # shares every factor of x
+        elif pick == 1:
+            y = -x                        # x + y is zero
+        elif pick == 2:
+            y = RationalFunction(rand_poly(rng) + 1, x.den * rand_qint_product(rng, 1))
+        elif pick == 3:
+            y = RationalFunction.coerce(rng.choice((0, 2, Fraction(-3, 4))))
+        else:
+            y = rand_rf(rng)
+        n1, d1, n2, d2 = x.num, x.den, y.num, y.den
+        want = {"+": RationalFunction(n1 * d2 + n2 * d1, d1 * d2),
+                "-": RationalFunction(n1 * d2 - n2 * d1, d1 * d2),
+                "*": RationalFunction(n1 * n2, d1 * d2)}
+        got = {"+": x + y, "-": x - y, "*": x * y}
+        if y:
+            want["/"], got["/"] = RationalFunction(n1 * d2, d1 * n2), x / y
+        if x:
+            want["r/"], got["r/"] = RationalFunction(n2 * d1, d2 * n1), y / x
+        for op, r in got.items():
+            assert_rf_canonical(r)
+            assert fields(r) == fields(want[op]), (op, x, y)
+            assert hash(r) == hash(want[op])
+        assert (x - x).is_zero() and fields(x - x) == fields(RationalFunction.coerce(0))
+
+
+def test_sum_of_unreduced_fractions():
+    rng = random.Random(1801)
+    for _ in range(30):
+        pairs, want = [], RationalFunction.coerce(0)
+        for _ in range(rng.randint(0, 6)):
+            x, y = rand_rf(rng), rand_rf(rng)
+            # an unreduced product: numerators and denominators multiplied
+            num, den = x.num * y.num, x.den * y.den
+            if rng.random() < 0.3:
+                num, den = num * qint(3) * -2, den * qint(3) * -2
+            pairs.append((num, den))
+            want = want + RationalFunction(num, den)
+        if pairs and rng.random() < 0.3:
+            pairs.append((-pairs[0][0], pairs[0][1]))
+            want = want - RationalFunction(*pairs[0])
+        got = _sum_fractions(pairs)
+        assert_rf_canonical(got)
+        assert fields(got) == fields(want)
 
 
 # -- Q(zeta_N) against floating-point evaluation at exp(2 pi i / N) ----------
