@@ -349,6 +349,18 @@ def _box_absorb_step(web):
     return None
 
 
+def _settle(web):
+    """Straighten and absorb at the boxes until neither applies; None as soon
+    as a box meets a turnback."""
+    while True:
+        if any(_box_is_dead(web, v) for v in _box_positions(web)):
+            return None
+        rewritten = _box_straighten_step(web) or _box_absorb_step(web)
+        if rewritten is None:
+            return web
+        web = rewritten
+
+
 def expand_boxes(ws, ctx: ClaspContext = None, budget: int = 10 ** 6) -> WebSum:
     """Replace every clasp box by its expansion, interleaving reduction and
     turnback pruning; the result is a sum of plain webs."""
@@ -359,15 +371,12 @@ def expand_boxes(ws, ctx: ClaspContext = None, budget: int = 10 ** 6) -> WebSum:
     stack = list(ws)
     while stack:
         coeff, web = stack.pop()
+        web = _settle(web)
+        if web is None:
+            continue
         boxes = _box_positions(web)
         if not boxes:
             out.add(coeff, web)
-            continue
-        if any(_box_is_dead(web, v) for v in boxes):
-            continue
-        rewritten = _box_straighten_step(web) or _box_absorb_step(web)
-        if rewritten is not None:
-            stack.append((coeff, rewritten))
             continue
         # expand the cheapest box first
         v = min(boxes, key=lambda x: (web.vextra[x][0] + web.vextra[x][1], x))
@@ -510,11 +519,8 @@ def prune_box_sum(ws: WebSum, ctx: ClaspContext = None,
     stack = [(c, w) for c, w in ws]
     while stack:
         coeff, web = stack.pop()
-        if any(_box_is_dead(web, v) for v in _box_positions(web)):
-            continue
-        rewritten = _box_straighten_step(web) or _box_absorb_step(web)
-        if rewritten is not None:
-            stack.append((coeff, rewritten))
+        web = _settle(web)
+        if web is None:
             continue
         key = web.canonical_key()
         reduced = reduce_sum(WebSum.from_web(web, coeff), table=ctx.table,
@@ -549,12 +555,10 @@ def braid_eigenvalue(word, n: int, ctx: ClaspContext = None,
         box = wb.clasp_box_web(n)
         b = eng.resolve_crossings(braid_web(word, n), table=ctx.table)
         lhs = prune_box_sum(sum_compose(b, WebSum.from_web(box)), ctx)
-        target = WebSum.from_web(box, value)
-        if set(lhs.terms) == set(target.terms) and \
-                all(lhs.terms[k][0] == target.terms[k][0] for k in lhs.terms):
+        diff = lhs - WebSum.from_web(box, value)
+        if diff.is_zero():
             return value
-        diff = expand_boxes(lhs - target, ctx)
-        if not sum_is_zero(diff, table=ctx.table):
+        if not sum_is_zero(expand_boxes(diff, ctx), table=ctx.table):
             raise AssertionError(
                 f"braid action on the clasp is not A^{c} as expected")
     return value

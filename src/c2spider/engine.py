@@ -356,57 +356,19 @@ def reduce_sum(ws, table: RuleTable = None, strategy: str = "smallest",
     return out
 
 
-def _split_components(w: Web):
-    """Split a closed vertexed web into its connected components."""
-    comps = []
-    seen = set()
-    for v0 in sorted(w.vkind):
-        if v0 in seen:
-            continue
-        comp = {v0}
-        stack = [v0]
-        while stack:
-            x = stack.pop()
-            for d in w.vlegs[x]:
-                y = w.dart_vertex[w.pair[d]]
-                if y is not None and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        sub = Web()
-        vmap, dmap = {}, {}
-        for x in sorted(comp):
-            vmap[x] = sub._next_vertex
-            sub._next_vertex += 1
-            for d in w.vlegs[x]:
-                dmap[d] = sub._next_dart
-                sub._next_dart += 1
-        for x in sorted(comp):
-            sub.vkind[vmap[x]] = w.vkind[x]
-            sub.vextra[vmap[x]] = w.vextra[x]
-            sub.vlegs[vmap[x]] = [dmap[d] for d in w.vlegs[x]]
-            for d in w.vlegs[x]:
-                sub.etype[dmap[d]] = w.etype[d]
-                sub.dart_vertex[dmap[d]] = vmap[x]
-                sub.pair[dmap[d]] = dmap[w.pair[d]]
-        comps.append(sub)
-    return comps
-
-
-def eval_closed(w, table: RuleTable = None, budget: int = 10 ** 6,
-                memo: dict = None) -> RationalFunction:
+def eval_closed(w, table: RuleTable = None, budget: int = 10 ** 6) -> RationalFunction:
     """Scalar value of a closed web or closed ``WebSum`` (the coefficient of
     the empty web).
 
     Tetravalent vertices are expanded in place and crossings, where present,
     resolved; clasp boxes are not allowed here (the clasp module expands
     them with its own pruning).  A whole web is never keyed: it is split
-    into connected components, and each component is evaluated through a
-    memo on its canonical key.
+    into connected components by ``Web.closed_components``, and each
+    component is evaluated through a memo on its canonical key, one memo
+    per relation-table hash.
     """
     table = table or default_table()
-    if memo is None:
-        memo = _EVAL_MEMO.setdefault(table.table_hash(), {})
+    memo = _EVAL_MEMO.setdefault(table.table_hash(), {})
     bud = _Budget(budget)
     total = _ZERO
     for coeff, web in ([(_ONE, w)] if isinstance(w, Web) else w):
@@ -426,10 +388,7 @@ def _eval_plain(web: Web, table, bud, memo) -> RationalFunction:
     value = _ONE
     for t in web.free_loops:
         value = value * table.loop[t]
-    if web.free_loops:
-        web = web.copy()
-        web.free_loops = ()
-    for comp in _split_components(web):
+    for comp in web.closed_components():
         value = value * _eval_component(comp, table, bud, memo)
     return value
 
@@ -498,14 +457,7 @@ def resolve_crossings(w, table: RuleTable = None) -> WebSum:
                 (("x", p0), ("x", (p0 + 1) % 4), "s"),
                 (("x", p1), ("x", (p1 + 1) % 4), "s"),
             ))
-            term_c = ((("tri", ("s", "s", "d"), ()), ("tri", ("s", "s", "d"), ())), (
-                (("x", p0), ("v", 0, 0), "s"),
-                (("x", (p0 + 1) % 4), ("v", 0, 1), "s"),
-                (("v", 0, 2), ("v", 1, 2), "d"),
-                (("x", p1), ("v", 1, 0), "s"),
-                (("x", (p1 + 1) % 4), ("v", 1, 1), "s"),
-            ))
-            webs = _splice(ww, {v}, list(legs), [term_a, term_b, term_c])
+            webs = _splice(ww, {v}, list(legs), [term_a, term_b, _bridge(p0)])
             for k, w2 in zip((coeff_a, coeff_b, coeff_c), webs):
                 stack.append((cc * k, w2))
     return out
@@ -519,16 +471,19 @@ def expand_tetravalent(w: Web) -> Web:
         v = next((x for x in sorted(w.vkind) if w.vkind[x] == "tet"), None)
         if v is None:
             return w
-        axis = w.vextra[v][1]
-        a = axis % 2
-        term = ((("tri", ("s", "s", "d"), ()), ("tri", ("s", "s", "d"), ())), (
-            (("x", a), ("v", 0, 0), "s"),
-            (("x", (a + 1) % 4), ("v", 0, 1), "s"),
-            (("v", 0, 2), ("v", 1, 2), "d"),
-            (("x", (a + 2) % 4), ("v", 1, 0), "s"),
-            (("x", (a + 3) % 4), ("v", 1, 1), "s"),
-        ))
-        w = _splice(w, {v}, list(w.vlegs[v]), [term])[0]
+        w = _splice(w, {v}, list(w.vlegs[v]), [_bridge(w.vextra[v][1] % 2)])[0]
+
+
+def _bridge(a):
+    """Mini web of two trivalent vertices bridged by a double edge, the first
+    on ports a, a+1 and the second on ports a+2, a+3 (mod 4)."""
+    return ((("tri", ("s", "s", "d"), ()),) * 2, (
+        (("x", a), ("v", 0, 0), "s"),
+        (("x", (a + 1) % 4), ("v", 0, 1), "s"),
+        (("v", 0, 2), ("v", 1, 2), "d"),
+        (("x", (a + 2) % 4), ("v", 1, 0), "s"),
+        (("x", (a + 3) % 4), ("v", 1, 1), "s"),
+    ))
 
 
 def to_mini(diagram: Web):

@@ -243,43 +243,20 @@ class Web:
         return self._check_planarity()
 
     def _check_planarity(self):
-        virtual = object()
-        adj = {}
-
-        def node_of(d):
-            v = self.dart_vertex[d]
-            return virtual if v is None else v
-
-        for d, p in self.pair.items():
-            adj.setdefault(node_of(d), set()).add(node_of(p))
-            adj.setdefault(node_of(p), set()).add(node_of(d))
-        for v in self.vkind:
-            adj.setdefault(v, set())
-        if self.boundary:
-            adj.setdefault(virtual, set())
         faces = self.faces(include_outer=True)
-        # distribute counts per connected component
-        comp_of = {}
-        for root in adj:
-            if root in comp_of:
-                continue
-            stack, comp_of[root] = [root], root
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in comp_of:
-                        comp_of[y] = root
-                        stack.append(y)
-        counts = {}
-        for node, root in comp_of.items():
-            c = counts.setdefault(root, [0, 0, 0])  # V, E, F
-            c[0] += 1
-        for d, p in self.pair.items():
-            if d < p:
-                counts[comp_of[node_of(d)]][1] += 1
-        for orbit in faces:
-            counts[comp_of[node_of(orbit[0])]][2] += 1
-        for root, (v, e, f) in counts.items():
+        rest = set(self.etype)
+        comps = []
+        if self.boundary:
+            # the boundary is one virtual vertex: its darts share a component
+            comps.append(self._component(*self.boundary))
+            rest -= comps[0]
+        comps += self._components(rest)
+        counts = [(len({self.dart_vertex[d] for d in comp}),  # None: the boundary
+                   sum(d in self.pair for d in comp) // 2,
+                   sum(orbit[0] in comp for orbit in faces)) for comp in comps]
+        # a vertex without legs is a component of its own, with no face
+        counts += [(1, 0, 0) for legs in self.vlegs.values() if not legs]
+        for v, e, f in counts:
             if v - e + f != 2:
                 return Violation("planarity",
                                  f"component has Euler characteristic {v - e + f}, expected 2")
@@ -304,20 +281,47 @@ class Web:
             return self._ckey
         order = {d: i for i, d in enumerate(self.boundary)}
         encoded_main = self._encode_sweep(order) if order else ()
-        comps = []
-        unvisited = set(self.etype).difference(order)
-        while unvisited:
-            comp = self._component(min(unvisited))
-            unvisited -= comp
-            comps.append(self._encode_closed(comp))
-        comps.sort()
+        comps = sorted(self._encode_closed(comp) for comp in
+                       self._components(set(self.etype).difference(order)))
         self._ckey = (self.free_loops, self.n_in, encoded_main, tuple(comps))
         return self._ckey
 
-    def _component(self, root):
-        """Darts connected to ``root`` through edges and vertices."""
-        comp = {root}
-        stack = [root]
+    def closed_components(self):
+        """The connected components of a closed web, free loops excluded.
+
+        Each is copied into a fresh web that keeps the dart and vertex ids and
+        already carries its canonical key, so the component is flooded and
+        encoded once."""
+        out = []
+        for comp in self._components(set(self.etype)):
+            sub = Web()
+            for d in comp:
+                v = self.dart_vertex[d]
+                sub.etype[d] = self.etype[d]
+                sub.dart_vertex[d] = v
+                sub.pair[d] = self.pair[d]
+                if v not in sub.vkind:
+                    sub.vkind[v] = self.vkind[v]
+                    sub.vextra[v] = self.vextra[v]
+                    sub.vlegs[v] = list(self.vlegs[v])
+            sub._next_dart = self._next_dart
+            sub._next_vertex = self._next_vertex
+            sub._ckey = ((), 0, (), (self._encode_closed(comp),))
+            out.append(sub)
+        return out
+
+    def _components(self, unvisited):
+        """Yield the darts of each component among ``unvisited``, which holds
+        whole components and is emptied."""
+        while unvisited:
+            comp = self._component(min(unvisited))
+            unvisited -= comp
+            yield comp
+
+    def _component(self, *roots):
+        """Darts connected to ``roots`` through edges and vertices."""
+        comp = set(roots)
+        stack = list(roots)
         while stack:
             d = stack.pop()
             v = self.dart_vertex.get(d)

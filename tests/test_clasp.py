@@ -227,6 +227,17 @@ def test_box_turnback_detection(ctx):
     assert cl.eval_box_web(closed2, ctx).is_zero()
 
 
+def test_box_pruning_agrees_with_full_expansion(ctx):
+    # every braid word of length 1-2 on 2 and 3 strands, composed with the box
+    for n in (2, 3):
+        gens = [g for i in range(1, n) for g in (i, -i)]
+        for word in [[g] for g in gens] + [[g, h] for g in gens for h in gens]:
+            b = eng.resolve_crossings(cl.braid_web(word, n), table=ctx.table)
+            x = eng.sum_compose(b, eng.WebSum.from_web(wb.clasp_box_web(n)))
+            pruned = cl.expand_boxes(cl.prune_box_sum(x, ctx), ctx)
+            assert eng.sums_equal(pruned, cl.expand_boxes(x, ctx), table=ctx.table), word
+
+
 def test_p3_cache_payload_bytes(tmp_path):
     # a recorded digest of the P_3 cache file: cache files written by earlier
     # versions stay valid only while the payload bytes do not change

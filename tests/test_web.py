@@ -144,7 +144,7 @@ def test_canonical_key_of_closed_webs(tmp_path, seed=5):
     squares = {}
     for _ in range(200):
         w = random_closed_web(rng, 4)
-        if w.n_vertices() == 4 and len(eng._split_components(w)) == 1:
+        if w.n_vertices() == 4 and len(w.closed_components()) == 1:
             squares.setdefault(eval_closed(w), w)
     squares = list(squares.values())
     assert len(squares) >= 2
@@ -154,8 +154,11 @@ def test_canonical_key_of_closed_webs(tmp_path, seed=5):
     webs += [wb.tensor(random_closed_web(rng, 10), random_closed_web(rng, 10))
              for _ in range(20)]
     for w in webs:
-        assert len(eng._split_components(w)) >= 2
+        comps = w.closed_components()
+        assert len(comps) >= 2
         assert renumbered(w, rng).canonical_key() == w.canonical_key()
+        for c in comps:
+            assert c.canonical_key() == renumbered(c, rng).canonical_key()
     keys = {}
     for w in webs:
         value = keys.setdefault(w.canonical_key(), eval_closed(w))

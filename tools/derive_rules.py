@@ -796,7 +796,7 @@ def main(out_path=None):
     th.connect(d1[0], d2[1])
     th.connect(d1[1], d2[0])
     th.connect(d1[2], d2[2])
-    val = eng.eval_closed(th, table=final, memo={})
+    val = eng.eval_closed(th, table=final)
     assert val == bigon_ss * delta2, f"theta web value {val!r}"
     print("  theta web: ok")
 
@@ -811,7 +811,7 @@ def main(out_path=None):
     curl_web.boundary = [bin_, bout]
     curl_web.n_in = 1
     closed = wb.trace_closure(curl_web)
-    val = eng.eval_closed(closed, table=final, memo={})
+    val = eng.eval_closed(closed, table=final)
     assert val == framing * delta1, f"curl trace gave {val!r}, " \
                                     f"expected {(framing * delta1)!r}"
     print("  curl trace: ok")
