@@ -478,8 +478,8 @@ def triple_space_dim(a: int, b: int, c: int, q_order=None) -> int:
     hand threshold; it means something only where P_a, P_b and P_c exist
     (see ``clasp_poles``).  It differs from ``cat.triple_multiplicity`` at
     the level k with order 4k+12 when a+b+c = 2k+2, e.g. (2,2,2) at order 20,
-    where Kac-Walton fusion and the specialized theta give 0; which
-    convention is right is still open.
+    where Kac-Walton fusion and the specialized theta give 0.  No detection
+    certificate uses it: ``faithful`` asks ``cat.triple_multiplicity``.
     """
     for x in (a, b, c):
         if x < 0:
@@ -539,9 +539,10 @@ def braid_eigenvalue(word, n: int, ctx: ClaspContext = None,
     crossing count.  For small inputs the identity b P = A^c P is verified
     by the engine unless ``verify`` is False.
 
-    Verification works at the box level: after resolving the crossings, every
-    smoothing that creates a turnback dies against the opaque box, so the
-    composite must reduce to the pristine box scaled by the predicted power.
+    Verification works at the box level: the braid is stacked on the opaque
+    box and its crossings resolved; every smoothing that creates a turnback
+    dies against the box, so the composite must reduce to the pristine box
+    scaled by the predicted power.
     If the reduced sum is not literally that, the comparison falls back to
     expanding the clasp and testing the difference through the closed pairing.
     """
@@ -553,8 +554,8 @@ def braid_eigenvalue(word, n: int, ctx: ClaspContext = None,
         verify = n <= 3 and len(word) <= 4
     if verify:
         box = wb.clasp_box_web(n)
-        b = eng.resolve_crossings(braid_web(word, n), table=ctx.table)
-        lhs = prune_box_sum(sum_compose(b, WebSum.from_web(box)), ctx)
+        lhs = prune_box_sum(eng.resolve_crossings(
+            wb.compose(braid_web(word, n), box), table=ctx.table), ctx)
         diff = lhs - WebSum.from_web(box, value)
         if diff.is_zero():
             return value

@@ -6,12 +6,13 @@ trivalent spine (the geometric step producing such a walk is outside this
 package).  The walk's edge multiplicities give the comparison labeling
 (p_e, 0); the complexity m is the largest vertex sum of multiplicities; and
 detection at level k requires every edge label to be simple (p_e <= k) and
-every vertex triple to span a nonzero invariant space at a root of unity of
-order 4k + 12, which by the triple-space criterion means the order exceeds
-twice the vertex sum plus four.  When all checks pass, the comparison basis
-vector appears with a nonzero coefficient in the state vector of the pushed-in
-curve, so the curve operator distinguishes the mapping class from the
-identity; the certificate records that argument step by step.
+every vertex triple to span a nonzero invariant space at level k, as
+Kac-Walton fusion (``cat.triple_multiplicity``) decides; for these labels
+that means an admissible triple with a+b+c <= 2k.  When all checks pass, the
+comparison basis vector appears with a nonzero coefficient in the state
+vector of the pushed-in curve, so the curve operator distinguishes the
+mapping class from the identity; the certificate records that argument step
+by step.
 
 On the torus everything is computable outright: a twist power is detected at
 level k exactly when the twist eigenvalues fail to be projectively constant,
@@ -23,8 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .cat import q_order, twist_exponent, simples
-from .clasp import triple_space_dim
+from .cat import q_order, simples, triple_multiplicity, twist_exponent
 from .tqft import Spine
 
 
@@ -116,15 +116,35 @@ def comparison_labeling(walk: CurveWalk):
     return {e: (p[e], 0) for e in sorted(p)}
 
 
+def _vertex_triples(walk: CurveWalk, p: dict) -> list:
+    """Sorted multiplicity triple at each vertex (a loop counts twice)."""
+    triples = [tuple(sorted(p[e] for e in ends))
+               for ends in walk.spine.vertex_edge_ends()]
+    for v, t in enumerate(triples):
+        if sum(t) % 2:
+            raise ValueError(f"vertex {v} has odd multiplicity sum {t}; "
+                             "the input is not a closed walk")
+    return triples
+
+
+def _empty_vertex(triples: list, k: int):
+    """First vertex whose space (a,0) (x) (b,0) (x) (c,0) has Kac-Walton
+    multiplicity 0 at level k, or None.  Labels must be at most k."""
+    return next((v for v, (a, b, c) in enumerate(triples)
+                 if not triple_multiplicity((a, 0), (b, 0), (c, 0), level=k)),
+                None)
+
+
 def min_level(walk: CurveWalk) -> int:
-    """Smallest level at which the detection checks can pass: every edge
-    label must be simple, and the root order 4k+12 must strictly exceed
-    2m + 4."""
-    p, m = complexity(walk)
-    from_order = 0
-    while 4 * from_order + 12 <= 2 * m + 4:
-        from_order += 1
-    return max(max(p.values()), from_order, 1)
+    """Smallest k >= max(p_e, 1) at which Kac-Walton fusion finds no empty
+    vertex space.  A graph geodesic has admissible triples, so the search
+    stops once every vertex sum is at most 2k."""
+    p, _ = complexity(walk)
+    triples = _vertex_triples(walk, p)
+    k = max(max(p.values()), 1)
+    while _empty_vertex(triples, k) is not None:
+        k += 1
+    return k
 
 
 @dataclass
@@ -133,7 +153,7 @@ class Certificate:
     walk: CurveWalk
     level: int
     edge_labels: dict
-    vertex_triples: list     # (vertex, (pe, pf, pg), admissible, order_ok)
+    vertex_triples: list     # (vertex, (pe, pf, pg), True, True): space nonzero
     complexity_m: int
     order_condition: str
     conclusion: str
@@ -165,42 +185,30 @@ def certify_detection(walk: CurveWalk, k: int, numeric: bool = False,
     """Run the detection argument at level k and emit the certificate.
 
     Checks, in order: the walk is a graph geodesic; every edge label (p_e, 0)
-    is simple at level k; every vertex triple is admissible with the root
-    order 4k+12 strictly above twice the vertex sum plus 4.  The conclusion
-    records why the comparison coefficient is nonzero: the identity tangle on
-    each edge factors with the top clasp appearing once, each vertex space is
-    one-dimensional and nonvanishing at this order, and braidings contribute
+    is simple at level k; every vertex triple spans a nonzero invariant space
+    at level k by Kac-Walton fusion.  The conclusion records why the
+    comparison coefficient is nonzero: the identity tangle on each edge
+    factors with the top clasp appearing once, each vertex space is
+    one-dimensional and nonvanishing at this level, and braidings contribute
     only nonzero scalars, so the state vector of the pushed-in curve is not
-    proportional to the empty labeling.
+    proportional to the empty labeling.  With ``numeric`` each vertex theta
+    of sum at most 6 is also specialized at the root of order 4k+12.
     """
     if k < 1:
         raise ValueError("level must be at least 1")
-    bad = check_graph_geodesic(walk)
-    if bad is not None:
-        raise NotGraphGeodesic(f"walk backtracks at step {bad}")
     p, m = complexity(walk)
-    labels = comparison_labeling(walk)
+    labels = {e: (p[e], 0) for e in sorted(p)}
     order = q_order(k)
-    for e, (pe, _) in sorted(labels.items()):
+    for e, (pe, _) in labels.items():
         if pe > k:
             raise LevelTooSmall(
                 "edge-label", f"edge {e} carries ({pe},0) but {pe} > k = {k}")
-    triples = []
-    for v, ends in enumerate(walk.spine.vertex_edge_ends()):
-        t = tuple(sorted(p[e] for e in ends))
-        if sum(t) % 2:
-            raise ValueError(f"vertex {v} has odd multiplicity sum {t}; "
-                             "the input is not a closed walk")
-        admissible = triple_space_dim(*t) == 1
-        order_ok = order > 2 * sum(t) + 4
-        if sum(t) and not admissible:
-            raise LevelTooSmall("vertex-admissibility",
-                                f"vertex {v} triple {t} is inadmissible")
-        if not order_ok:
-            raise LevelTooSmall(
-                "order-condition",
-                f"vertex {v} needs order > {2 * sum(t) + 4}, have {order}")
-        triples.append((v, t, admissible, order_ok))
+    triples = _vertex_triples(walk, p)
+    v = _empty_vertex(triples, k)
+    if v is not None:
+        raise LevelTooSmall("vertex-space",
+                            f"vertex {v} triple {triples[v]} has Kac-Walton "
+                            f"multiplicity 0 at level {k}")
     notes = [
         "input assumption: the walk encodes the image curve of a mapping "
         "class applied to a curve bounding a disk in the handlebody, not "
@@ -217,19 +225,20 @@ def certify_detection(walk: CurveWalk, k: int, numeric: bool = False,
     ]
     numeric_checks = []
     if numeric:
-        from .clasp import theta_net, default_context
+        from .clasp import theta_at, default_context
         ctx = ctx or default_context()
-        for v, t, _, _ in triples:
-            if sum(t) <= 6 and sum(t) > 0:
-                val = theta_net(t[0], t[1], t[2], ctx)
+        for v, t in enumerate(triples):
+            if 0 < sum(t) <= 6:
+                nonzero = not theta_at(*t, order, ctx).is_zero()
                 numeric_checks.append({"vertex": v, "triple": list(t),
-                                       "theta_nonzero": not val.is_zero()})
-                if val.is_zero():
+                                       "theta_nonzero": nonzero})
+                if not nonzero:
                     raise LevelTooSmall("numeric-theta",
                                         f"vertex {v} triangle evaluates to zero")
     cert = Certificate(
         spine=walk.spine, walk=walk, level=k, edge_labels=labels,
-        vertex_triples=triples, complexity_m=m,
+        vertex_triples=[(v, t, True, True) for v, t in enumerate(triples)],
+        complexity_m=m,
         order_condition=f"4k+12 = {order} > 2m+4 = {2 * m + 4}",
         conclusion="detected", notes=notes, numeric_checks=numeric_checks)
     return cert

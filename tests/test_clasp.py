@@ -7,12 +7,14 @@ import pytest
 from c2spider import cat
 from c2spider import clasp as cl
 from c2spider import engine as eng
+from c2spider import faithful as ff
 from c2spider import web as wb
 from c2spider.cache import ClaspCache, cache_gc
 from c2spider.ring import (DenominatorVanishes, LaurentPoly,
                            RationalFunction as RF, cyclotomic_orders, qint,
                            specialize)
 from c2spider.rules import default_table
+from c2spider.tqft import Spine
 
 q = LaurentPoly.q_power
 
@@ -215,6 +217,32 @@ def test_theta_at_refuses_clasp_poles(ctx):
     # where every clasp exists it is the plain specialization
     assert cl.theta_at(2, 1, 1, 16, ctx) == \
         specialize(cl.theta_net(2, 1, 1, ctx), 16)
+
+
+def test_theta_at_agrees_with_kac_walton(ctx):
+    # the vertex spaces of a certificate come from Kac-Walton fusion; the
+    # specialized theta must vanish exactly where that multiplicity is 0
+    cases = 0
+    for c in range(1, 7):
+        for b in range(c + 1):
+            for a in range(b + 1):
+                if (a + b + c) % 2 or a + b < c or a + b + c > 6:
+                    continue
+                for k in range(c, 6):
+                    theta = cl.theta_at(a, b, c, cat.q_order(k), ctx)
+                    kw = cat.triple_multiplicity((a, 0), (b, 0), (c, 0), level=k)
+                    assert (not theta.is_zero()) == (kw == 1), (a, b, c, k)
+                    cases += 1
+    assert cases == 23
+
+
+def test_numeric_certificate_of_the_222_walk(ctx):
+    walk = ff.CurveWalk(Spine.theta_graph(),
+                        ((0, 0), (1, 1), (0, 2), (1, 0), (0, 1), (1, 2)))
+    cert = ff.certify_detection(walk, 3, numeric=True, ctx=ctx)
+    assert cert.conclusion == "detected"
+    assert cert.numeric_checks == [
+        {"vertex": v, "triple": [2, 2, 2], "theta_nonzero": True} for v in (0, 1)]
 
 
 def test_box_turnback_detection(ctx):

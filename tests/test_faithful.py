@@ -90,6 +90,18 @@ def test_certify_level_too_small_then_detected():
     assert cert.conclusion == "detected"
 
 
+def test_vertex_space_decided_by_kac_walton():
+    # both vertex triples are (2,2,2): Kac-Walton multiplicity 0 at k = 2,
+    # although 4k+12 = 20 exceeds twice the vertex sum plus four
+    walk = ff.CurveWalk(Spine.theta_graph(),
+                        ((0, 0), (1, 1), (0, 2), (1, 0), (0, 1), (1, 2)))
+    with pytest.raises(ff.LevelTooSmall) as err:
+        ff.certify_detection(walk, 2)
+    assert err.value.check == "vertex-space"
+    assert ff.certify_detection(walk, 3).conclusion == "detected"
+    assert ff.min_level(walk) == 3
+
+
 def test_certify_rejects_backtracking():
     bad = ff.CurveWalk(Spine.theta_graph(), ((0, 0), (1, 0)))
     with pytest.raises(ff.NotGraphGeodesic):

@@ -134,34 +134,13 @@ def scalar_multiple_of_identity(a):
     return s
 
 
-def rank(rows):
-    rows = [list(r) for r in rows if any(not x.is_zero() for x in r)]
-    m = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def solve_nullspace(a):
-    """Basis of the right nullspace of a (rows = equations)."""
-    rows = [list(r) for r in a]
-    m = len(rows[0]) if rows else 0
+def gauss_jordan(rows, ncols):
+    """Reduced row echelon form, pivoting on the first ``ncols`` columns.
+    Returns the reduced rows and the pivot columns."""
+    rows = [list(r) for r in rows]
     pivots = []
-    r = 0
-    for c in range(m):
+    for c in range(ncols):
+        r = len(pivots)
         pr = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
         if pr is None:
             continue
@@ -173,12 +152,19 @@ def solve_nullspace(a):
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(m) if c not in pivots]
+    return rows, pivots
+
+
+def rank(rows):
+    return len(gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
+
+
+def solve_nullspace(a):
+    """Basis of the right nullspace of a (rows = equations)."""
+    m = len(a[0]) if a else 0
+    rows, pivots = gauss_jordan(a, m)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(m) if c not in pivots):
         v = [ZERO] * m
         v[fc] = ONE
         for pi, pc in enumerate(pivots):
@@ -189,17 +175,9 @@ def solve_nullspace(a):
 
 def invert(a):
     n = len(a)
-    aug = [list(r) + list(e) for r, e in zip(a, eye(n))]
-    for c in range(n):
-        pr = next(i for i in range(c, n) if not aug[i][c].is_zero())
-        aug[c], aug[pr] = aug[pr], aug[c]
-        inv = ONE / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    rows, pivots = gauss_jordan([list(r) + list(e) for r, e in zip(a, eye(n))], n)
+    assert len(pivots) == n, "singular matrix"
+    return [row[n:] for row in rows]
 
 
 def apply_vec(m, v):
@@ -610,25 +588,16 @@ def main(out_path=None):
         term_id = ((), ((("x", 0), ("x", 3), "s"), (("x", 1), ("x", 2), "s")))
         term_cup = ((), ((("x", 0), ("x", 1), "s"), (("x", 2), ("x", 3), "s")))
 
-        def bridge(p, q_):
-            return ((("tri", ("s", "s", "d"), ()), ("tri", ("s", "s", "d"), ())), (
-                (("x", p[0]), ("v", 0, 0), "s"),
-                (("x", p[1]), ("v", 0, 1), "s"),
-                (("v", 0, 2), ("v", 1, 2), "d"),
-                (("x", q_[0]), ("v", 1, 0), "s"),
-                (("x", q_[1]), ("v", 1, 1), "s"),
-            ))
-
         if mode == "H":
             # config occupies ports (0,1),(2,3): H = -(r0 id + r1 E + r3 H')
             ports = [a, b, c_, d_]
             coeffs = (-rel[0], -rel[1], -rel[3])
-            terms = [term_id, term_cup, bridge((1, 2), (3, 0))]
+            terms = [term_id, term_cup, eng._bridge(1)]
         else:
             # same config read as the rotated bridge in the shifted frame
             ports = [d_, a, b, c_]
             coeffs = (-rel[0] / rel[3], -rel[1] / rel[3], -ONE / rel[3])
-            terms = [term_id, term_cup, bridge((0, 1), (2, 3))]
+            terms = [term_id, term_cup, eng._bridge(0)]
         webs = eng._splice(web, {u, v}, ports, terms)
         return list(zip(coeffs, webs))
 
@@ -827,27 +796,12 @@ def main(out_path=None):
 def solve_linear(cols, target):
     """Solve cols * x = target exactly (cols: list of rows of the matrix)."""
     n = len(cols[0])
-    aug = [list(row) + [t] for row, t in zip(cols, target)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(aug)) if not aug[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = ONE / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
+    rows, pivots = gauss_jordan([list(row) + [t] for row, t in zip(cols, target)], n)
     sol = [ZERO] * n
     for pi, pc in enumerate(pivots):
-        sol[pc] = aug[pi][n]
-    for i in range(r, len(aug)):
-        assert aug[i][n].is_zero(), "inconsistent linear system"
+        sol[pc] = rows[pi][n]
+    for row in rows[len(pivots):]:
+        assert row[n].is_zero(), "inconsistent linear system"
     return sol
 
 
