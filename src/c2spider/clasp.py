@@ -507,12 +507,15 @@ def braid_web(word, n: int):
 
 def prune_box_sum(ws: WebSum, ctx: ClaspContext = None,
                   budget: int = 10 ** 6) -> WebSum:
-    """Reduce a sum of webs containing opaque clasp boxes, dropping every term
-    in which a box meets a turnback.
+    """Reduce a sum of webs containing opaque clasp boxes and crossings,
+    dropping every term in which a box meets a turnback.
 
-    Terms are dead-checked before any rewriting: smoothings wire turnbacks to
-    the boxes through direct edges, so most of a crossing resolution dies at a
-    glance and only the survivors pay for face reduction.
+    Each web is dead-checked before anything else: a clasp kills a turnback
+    at any stage, so one that already meets a box is dropped unkeyed.  A
+    surviving web that still holds a crossing has its lowest-id crossing
+    smoothed, and the three smoothings are checked the same way in turn, so a
+    dead one is never smoothed further.  Only crossing-free survivors are
+    keyed and pay for face reduction.
     """
     ctx = ctx or default_context()
     out = WebSum.zero()
@@ -521,6 +524,10 @@ def prune_box_sum(ws: WebSum, ctx: ClaspContext = None,
         coeff, web = stack.pop()
         web = _settle(web)
         if web is None:
+            continue
+        v = eng._first_vertex(web, "cross")
+        if v is not None:
+            stack.extend((coeff * k, w2) for k, w2 in eng._smooth(web, v, ctx.table))
             continue
         key = web.canonical_key()
         reduced = reduce_sum(WebSum.from_web(web, coeff), table=ctx.table,
@@ -536,13 +543,15 @@ def prune_box_sum(ws: WebSum, ctx: ClaspContext = None,
 def braid_eigenvalue(word, n: int, ctx: ClaspContext = None,
                      verify: bool = None) -> RationalFunction:
     """The scalar by which a braid acts on the clasp: A to the signed
-    crossing count.  For small inputs the identity b P = A^c P is verified
-    by the engine unless ``verify`` is False.
+    crossing count.  For small inputs (n <= 4 strands, at most four
+    crossings) the identity b P = A^c P is verified by the engine unless
+    ``verify`` is False.
 
     Verification works at the box level: the braid is stacked on the opaque
-    box and its crossings resolved; every smoothing that creates a turnback
-    dies against the box, so the composite must reduce to the pristine box
-    scaled by the predicted power.
+    box and handed to ``prune_box_sum`` with its crossings unresolved.  They
+    are smoothed one at a time, and every smoothing that creates a turnback
+    dies against the box as soon as it is made, so the composite must reduce
+    to the pristine box scaled by the predicted power.
     If the reduced sum is not literally that, the comparison falls back to
     expanding the clasp and testing the difference through the closed pairing.
     """
@@ -551,11 +560,10 @@ def braid_eigenvalue(word, n: int, ctx: ClaspContext = None,
     c = sum(1 if g > 0 else -1 for g in word)
     value = coeff_a ** c
     if verify is None:
-        verify = n <= 3 and len(word) <= 4
+        verify = n <= 4 and len(word) <= 4
     if verify:
         box = wb.clasp_box_web(n)
-        lhs = prune_box_sum(eng.resolve_crossings(
-            wb.compose(braid_web(word, n), box), table=ctx.table), ctx)
+        lhs = prune_box_sum(WebSum.from_web(wb.compose(braid_web(word, n), box)), ctx)
         diff = lhs - WebSum.from_web(box, value)
         if diff.is_zero():
             return value

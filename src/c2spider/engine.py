@@ -421,17 +421,9 @@ _EVAL_MEMO: dict = {}
 
 
 def resolve_crossings(w, table: RuleTable = None) -> WebSum:
-    """Expand every formal crossing into the three-term sum.
-
-    The first term (coefficient A) joins each over-strand leg to its
-    clockwise neighbour; the remaining two terms join over-strand legs to
-    their counterclockwise neighbours, without and with the double-edge
-    bridge.
-    """
+    """Expand every formal crossing into the three-term sum of ``_smooth``,
+    lowest crossing id first."""
     table = table or default_table()
-    if table.crossing is None:
-        raise ValueError("relation table carries no crossing data")
-    coeff_a, coeff_b, coeff_c = table.crossing
     if isinstance(w, Web):
         w = WebSum.from_web(w)
     out = WebSum()
@@ -439,28 +431,45 @@ def resolve_crossings(w, table: RuleTable = None) -> WebSum:
         stack = [(c, web)]
         while stack:
             cc, ww = stack.pop()
-            v = next((x for x in sorted(ww.vkind) if ww.vkind[x] == "cross"), None)
+            v = _first_vertex(ww, "cross")
             if v is None:
                 out.add(cc, ww)
                 continue
-            legs = ww.vlegs[v]
-            if any(ww.etype[d] != "s" for d in legs):
-                raise UnsupportedCrossingType(
-                    "crossings are only defined between single strands")
-            diag = ww.vextra[v][1]
-            p0, p1 = diag, diag + 2
-            term_a = ((), (
-                (("x", p0), ("x", (p0 - 1) % 4), "s"),
-                (("x", p1), ("x", (p1 - 1) % 4), "s"),
-            ))
-            term_b = ((), (
-                (("x", p0), ("x", (p0 + 1) % 4), "s"),
-                (("x", p1), ("x", (p1 + 1) % 4), "s"),
-            ))
-            webs = _splice(ww, {v}, list(legs), [term_a, term_b, _bridge(p0)])
-            for k, w2 in zip((coeff_a, coeff_b, coeff_c), webs):
-                stack.append((cc * k, w2))
+            stack.extend((cc * k, w2) for k, w2 in _smooth(ww, v, table))
     return out
+
+
+def _first_vertex(w: Web, kind: str):
+    """The lowest-id vertex of the kind, or None."""
+    return next((x for x in sorted(w.vkind) if w.vkind[x] == kind), None)
+
+
+def _smooth(web: Web, v, table: RuleTable):
+    """The three-term skein relation at crossing ``v``: [(coeff, web)] * 3.
+
+    The first term (coefficient A) joins each over-strand leg to its
+    clockwise neighbour; the remaining two terms join over-strand legs to
+    their counterclockwise neighbours, without and with the double-edge
+    bridge.
+    """
+    if table.crossing is None:
+        raise ValueError("relation table carries no crossing data")
+    legs = web.vlegs[v]
+    if any(web.etype[d] != "s" for d in legs):
+        raise UnsupportedCrossingType(
+            "crossings are only defined between single strands")
+    p0 = web.vextra[v][1]
+    p1 = p0 + 2
+    term_a = ((), (
+        (("x", p0), ("x", (p0 - 1) % 4), "s"),
+        (("x", p1), ("x", (p1 - 1) % 4), "s"),
+    ))
+    term_b = ((), (
+        (("x", p0), ("x", (p0 + 1) % 4), "s"),
+        (("x", p1), ("x", (p1 + 1) % 4), "s"),
+    ))
+    webs = _splice(web, {v}, list(legs), [term_a, term_b, _bridge(p0)])
+    return list(zip(table.crossing, webs))
 
 
 def expand_tetravalent(w: Web) -> Web:
@@ -468,7 +477,7 @@ def expand_tetravalent(w: Web) -> Web:
     trivalent vertices bridged by a double edge, along the marked axis."""
     w = w.copy()
     while True:
-        v = next((x for x in sorted(w.vkind) if w.vkind[x] == "tet"), None)
+        v = _first_vertex(w, "tet")
         if v is None:
             return w
         w = _splice(w, {v}, list(w.vlegs[v]), [_bridge(w.vextra[v][1] % 2)])[0]

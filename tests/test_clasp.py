@@ -1,6 +1,7 @@
 """Projector expansion, axioms, traces, theta networks and the cache."""
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -264,6 +265,61 @@ def test_box_pruning_agrees_with_full_expansion(ctx):
             x = eng.sum_compose(b, eng.WebSum.from_web(wb.clasp_box_web(n)))
             pruned = cl.expand_boxes(cl.prune_box_sum(x, ctx), ctx)
             assert eng.sums_equal(pruned, cl.expand_boxes(x, ctx), table=ctx.table), word
+
+
+def _words(n, max_len):
+    gens = [g for i in range(1, n) for g in (i, -i)]
+    return [list(w) for length in range(max_len + 1)
+            for w in itertools.product(gens, repeat=length)]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the braid check left its fast path")
+
+
+def test_braid_check_stays_on_the_box_fast_path(ctx, monkeypatch):
+    # crossings are smoothed against the box one at a time: nothing is
+    # resolved up front, and no clasp is expanded or pairing taken
+    monkeypatch.setattr(eng, "resolve_crossings", _refuse)
+    monkeypatch.setattr(cl, "sum_is_zero", _refuse)
+    monkeypatch.setattr(cl, "expand_boxes", _refuse)
+    words = [(w, n) for n, max_len in ((2, 4), (3, 4), (4, 3))
+             for w in _words(n, max_len)]
+    assert len(words) == 631
+    for word, n in words:
+        c = sum(1 if g > 0 else -1 for g in word)
+        assert cl.braid_eigenvalue(word, n, ctx, verify=True) == RF.coerce(q(c)), \
+            (word, n)
+
+
+def test_box_pruning_smooths_crossings_like_full_resolution(ctx):
+    # smoothing crossings one at a time inside the pruning gives the same
+    # sum, term for term, as resolving them all first
+    for n in (2, 3):
+        box = wb.clasp_box_web(n)
+        for word in _words(n, 3):
+            composite = wb.compose(cl.braid_web(word, n), box)
+            lazy = cl.prune_box_sum(eng.WebSum.from_web(composite), ctx)
+            eager = cl.prune_box_sum(
+                eng.resolve_crossings(composite, table=ctx.table), ctx)
+            assert {k: c for k, (c, _) in lazy.terms.items()} == \
+                {k: c for k, (c, _) in eager.terms.items()}, (word, n)
+
+
+def test_braid_check_runs_by_default_on_four_strands(ctx, monkeypatch):
+    seen = []
+    prune = cl.prune_box_sum
+
+    def spy(ws, *args, **kwargs):
+        seen.append(len(ws))
+        return prune(ws, *args, **kwargs)
+
+    monkeypatch.setattr(cl, "prune_box_sum", spy)
+    assert cl.braid_eigenvalue([1, -3, 2, 2], 4, ctx) == RF.coerce(q(2))
+    assert seen == [1]
+    cl.braid_eigenvalue([1, 2, 3, 4], 5, ctx)
+    cl.braid_eigenvalue([1, 2, 3, 1, 2], 4, ctx)
+    assert seen == [1]
 
 
 def test_p3_cache_payload_bytes(tmp_path):
