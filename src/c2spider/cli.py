@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--walk", required=True)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--numeric", action="store_true",
-                   help="spot-check vertex triangles through the web engine")
+                   help="check every vertex theta at order 4k+12 through the web engine")
     p.set_defaults(func=cmd_faithful_certify)
     p = g_f.add_parser("torus")
     p.add_argument("--max-n", type=int, default=50)

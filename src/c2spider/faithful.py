@@ -110,12 +110,6 @@ def complexity(walk: CurveWalk):
     return p, m
 
 
-def comparison_labeling(walk: CurveWalk):
-    """Edge e gets the single-type label (p_e, 0)."""
-    p, _ = complexity(walk)
-    return {e: (p[e], 0) for e in sorted(p)}
-
-
 def _vertex_triples(walk: CurveWalk, p: dict) -> list:
     """Sorted multiplicity triple at each vertex (a loop counts twice)."""
     triples = [tuple(sorted(p[e] for e in ends))
@@ -191,8 +185,9 @@ def certify_detection(walk: CurveWalk, k: int, numeric: bool = False,
     factors with the top clasp appearing once, each vertex space is
     one-dimensional and nonvanishing at this level, and braidings contribute
     only nonzero scalars, so the state vector of the pushed-in curve is not
-    proportional to the empty labeling.  With ``numeric`` each vertex theta
-    of sum at most 6 is also specialized at the root of order 4k+12.
+    proportional to the empty labeling.  With ``numeric`` the theta of every
+    vertex the walk passes through is also specialized at the root of order
+    4k+12 through ``clasp.theta_at``, which refuses clasp poles.
     """
     if k < 1:
         raise ValueError("level must be at least 1")
@@ -228,7 +223,7 @@ def certify_detection(walk: CurveWalk, k: int, numeric: bool = False,
         from .clasp import theta_at, default_context
         ctx = ctx or default_context()
         for v, t in enumerate(triples):
-            if 0 < sum(t) <= 6:
+            if sum(t):
                 nonzero = not theta_at(*t, order, ctx).is_zero()
                 numeric_checks.append({"vertex": v, "triple": list(t),
                                        "theta_nonzero": nonzero})

@@ -220,21 +220,108 @@ def test_theta_at_refuses_clasp_poles(ctx):
         specialize(cl.theta_net(2, 1, 1, ctx), 16)
 
 
-def test_theta_at_agrees_with_kac_walton(ctx):
+def _admissible_triples(top):
+    """Admissible triples a <= b <= c <= top with c >= 1."""
+    return [(a, b, c) for c in range(1, top + 1) for b in range(c + 1)
+            for a in range(b + 1) if (a + b + c) % 2 == 0 and a + b >= c]
+
+
+@pytest.fixture(scope="module")
+def thetas(ctx):
+    """theta_net of every admissible triple with labels at most 5."""
+    return {t: cl.theta_net(*t, ctx) for t in _admissible_triples(5)}
+
+
+def _kac_walton_agreements(values, ctx, monkeypatch):
+    """Specialize each theta through theta_at at the orders 4k+12, k from
+    the largest label to 12, and require it nonzero exactly where the
+    Kac-Walton multiplicity is 1; returns the number of cases.  No such
+    order is a pole of the clasps involved, or theta_at would refuse it."""
+    monkeypatch.setattr(cl, "theta_net", lambda a, b, c, ctx=None: values[(a, b, c)])
+    cases = 0
+    for (a, b, c) in values:
+        for k in range(c, 13):
+            theta = cl.theta_at(a, b, c, cat.q_order(k), ctx)
+            kw = cat.triple_multiplicity((a, 0), (b, 0), (c, 0), level=k)
+            assert (not theta.is_zero()) == (kw == 1), (a, b, c, k)
+            cases += 1
+    return cases
+
+
+def test_theta_at_agrees_with_kac_walton(ctx, thetas, monkeypatch):
     # the vertex spaces of a certificate come from Kac-Walton fusion; the
     # specialized theta must vanish exactly where that multiplicity is 0
-    cases = 0
-    for c in range(1, 7):
-        for b in range(c + 1):
-            for a in range(b + 1):
-                if (a + b + c) % 2 or a + b < c or a + b + c > 6:
-                    continue
-                for k in range(c, 6):
-                    theta = cl.theta_at(a, b, c, cat.q_order(k), ctx)
-                    kw = cat.triple_multiplicity((a, 0), (b, 0), (c, 0), level=k)
-                    assert (not theta.is_zero()) == (kw == 1), (a, b, c, k)
-                    cases += 1
-    assert cases == 23
+    assert len(thetas) == 19
+    assert _kac_walton_agreements(thetas, ctx, monkeypatch) == 177
+
+
+@pytest.mark.slow
+def test_theta_at_agrees_with_kac_walton_labels_6(ctx, monkeypatch):
+    # about 2.5 minutes, nearly all of it theta(6,6,6)
+    values = {t: cl.theta_net(*t, ctx) for t in _admissible_triples(6) if t[2] == 6}
+    assert len(values) == 10
+    assert _kac_walton_agreements(values, ctx, monkeypatch) == 70
+
+
+def _flat_value(web, ctx):
+    """Reference value of a closed web of single boxes: each box is replaced
+    by the flat P_n of clasp_expand, and a term in which a box meets a
+    turnback is dropped before it is reduced."""
+    total = RF.coerce(0)
+    stack = [(RF.coerce(1), web)]
+    while stack:
+        coeff, w = stack.pop()
+        w = cl._settle(w)
+        if w is None:
+            continue
+        boxes = cl._box_positions(w)
+        if not boxes:
+            total = total + coeff * eng.eval_closed(w, ctx.table)
+            continue
+        v = boxes[-1]
+        p = cl.clasp_expand(w.vextra[v][0], "single", ctx)
+        pieces = eng._splice(w, {v}, list(w.vlegs[v]), [eng.to_mini(d) for _, d in p])
+        partial = eng.WebSum()
+        for (c, _), piece in zip(p, pieces):
+            piece = cl._settle(piece)
+            if piece is not None:
+                partial.add(coeff * c, piece)
+        stack.extend(eng.reduce_sum(partial, table=ctx.table, boxes_ok=True))
+    return total
+
+
+def test_thetas_equal_their_flat_clasp_values(ctx, thetas):
+    # the network is laid out here with its labels in ascending order, which
+    # theta_net does not use, so this also checks the symmetry it relies on
+    for t in _admissible_triples(4):
+        assert thetas[t] == _flat_value(cl._theta_web(*t), ctx), t
+
+
+def test_theta_nn0_is_the_signed_quantum_dimension(ctx):
+    for n in range(7):
+        assert cl.theta_net(n, n, 0, ctx) == RF.coerce((-1) ** n) * cat.qdim((n, 0))
+
+
+def test_theta_552_equals_its_flat_value(thetas):
+    # computed once through the flat P_5 (about 500 s on a 2-core host)
+    num = [1, 1, 2, 2, 4, 4, 6, 6, 9, 8, 11, 10, 14, 12, 15, 13, 16,
+           13, 15, 12, 14, 10, 11, 8, 9, 6, 6, 4, 4, 2, 2, 1, 1]
+    want = RF(sum((c * q(2 * i - 24) for i, c in enumerate(num)), LaurentPoly.const(0)),
+              q(0) + q(2) + q(8) + q(14) + q(16))
+    assert thetas[(2, 5, 5)] == want
+
+
+def test_networks_never_expand_a_clasp_flat(ctx, monkeypatch):
+    flat = cl.clasp_expand
+
+    def single_strands_only(n, kind="single", ctx=None):
+        if kind == "single" and n >= 2:
+            raise AssertionError(f"flat P_{n} expanded inside a network")
+        return flat(n, kind, ctx)
+
+    monkeypatch.setattr(cl, "clasp_expand", single_strands_only)
+    assert cl.theta_net(4, 4, 0, ctx) == cat.qdim((4, 0))
+    assert cl.clasp_trace((4, 0), ctx) == cat.qdim((4, 0))
 
 
 def test_numeric_certificate_of_the_222_walk(ctx):
@@ -244,6 +331,16 @@ def test_numeric_certificate_of_the_222_walk(ctx):
     assert cert.conclusion == "detected"
     assert cert.numeric_checks == [
         {"vertex": v, "triple": [2, 2, 2], "theta_nonzero": True} for v in (0, 1)]
+
+
+def test_numeric_certificate_checks_every_vertex(ctx):
+    # vertex sums of 8: both vertex thetas are specialized, none skipped
+    walk = ff.CurveWalk(Spine.theta_graph(),
+                        ((0, 0), (1, 1), (0, 0), (1, 2)) * 2)
+    cert = ff.certify_detection(walk, 4, numeric=True, ctx=ctx)
+    assert cert.complexity_m == 8
+    assert cert.numeric_checks == [
+        {"vertex": v, "triple": [2, 2, 4], "theta_nonzero": True} for v in (0, 1)]
 
 
 def test_box_turnback_detection(ctx):

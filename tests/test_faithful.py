@@ -33,7 +33,7 @@ def test_graph_geodesic_check():
 def test_complexity_and_labels():
     p, m = ff.complexity(theta_walk())
     assert p == {0: 1, 1: 1, 2: 0} and m == 2
-    assert ff.comparison_labeling(theta_walk()) == \
+    assert ff.certify_detection(theta_walk(), 1).edge_labels == \
         {0: (1, 0), 1: (1, 0), 2: (0, 0)}
 
 
