@@ -32,6 +32,10 @@ recoupling theory does it (L. Kauffman and S. Lins, "Temperley-Lieb
 Recoupling Theory and Invariants of 3-Manifolds", 1994), so no network ever
 holds the flat P_n.  The flat ``clasp_expand`` serves the CLI,
 ``turnback_kill``, ``idempotent`` and its own recursion.
+
+A braid acts on P_n by A^c, c its signed crossing count, and the identity
+factorizes exactly: sigma_g P_n = A^(+-1) P_n for each letter gives the
+whole word by composition, so each generator is proven once per table.
 """
 
 from __future__ import annotations
@@ -407,8 +411,6 @@ def expand_boxes(ws, ctx: ClaspContext = None, budget: int = 10 ** 6) -> WebSum:
         if not boxes:
             out.add(coeff, web)
             continue
-        # among equal boxes the newest: those a recursion step just made
-        # are finished before an older one is opened
         v = min(boxes, key=lambda x: (web.vextra[x][0] + web.vextra[x][1], -x))
         a, b, n_in = web.vextra[v]
         if b == 0 and a >= 2:
@@ -428,12 +430,15 @@ def expand_boxes(ws, ctx: ClaspContext = None, budget: int = 10 ** 6) -> WebSum:
 
 
 def eval_box_web(w, ctx: ClaspContext = None, budget: int = 10 ** 6) -> RationalFunction:
-    """Value of a closed web that may contain clasp boxes."""
+    """Value of a closed web that may contain clasp boxes, memoized under its
+    canonical key in the table's eval memo."""
     ctx = ctx or default_context()
-    total = _ZERO
-    for coeff, plain in expand_boxes(w, ctx, budget):
-        total = total + coeff * eval_closed(plain, table=ctx.table, budget=budget)
-    return total
+    memo = eng.eval_memo(ctx.table)
+    key = w.canonical_key()
+    if key not in memo:
+        memo[key] = sum((coeff * eval_closed(plain, table=ctx.table, budget=budget)
+                         for coeff, plain in expand_boxes(w, ctx, budget)), _ZERO)
+    return memo[key]
 
 
 # -- traces, thetas, braids ----------------------------------------------------------
@@ -443,8 +448,7 @@ def clasp_trace(weight, ctx: ClaspContext = None) -> RationalFunction:
     """Close the clasp in an annulus and evaluate (the quantum trace)."""
     ctx = ctx or default_context()
     a, b = weight
-    label = ClaspLabel(a, b)
-    if not label.expandable:
+    if not ClaspLabel(a, b).expandable:
         raise NotImplementedError("mixed clasps (a,b) with a,b > 0 are labels only")
     if a == 0 and b == 0:
         return _ONE
@@ -453,8 +457,7 @@ def clasp_trace(weight, ctx: ClaspContext = None) -> RationalFunction:
             return eval_closed(wb.loop_web("d"), table=ctx.table)
         raise NotImplementedError(
             "double-type clasp traces are implemented for b <= 1 only")
-    closed = wb.trace_closure(wb.clasp_box_web(a))
-    return eval_box_web(closed, ctx)
+    return eval_box_web(wb.trace_closure(wb.clasp_box_web(a)), ctx)
 
 
 def _theta_web(a: int, b: int, c: int):
@@ -484,14 +487,12 @@ def theta_net(a: int, b: int, c: int, ctx: ClaspContext = None) -> RationalFunct
     expansion prunes soonest: on a 2-core host theta(4,5,5) takes 23 s laid
     out as given and 1.2 s as (5,4,5).
     """
-    for x in (a, b, c):
-        if x < 0:
-            raise ValueError("theta labels must be nonnegative")
-    if (a + b + c) % 2 or 2 * max(a, b, c) > a + b + c:
-        return _ZERO
     lo, hi = min(a, b, c), max(a, b, c)
-    return eval_box_web(_theta_web(hi, lo, a + b + c - lo - hi),
-                        ctx or default_context())
+    if lo < 0:
+        raise ValueError("theta labels must be nonnegative")
+    if (a + b + c) % 2 or 2 * hi > a + b + c:
+        return _ZERO
+    return eval_box_web(_theta_web(hi, lo, a + b + c - lo - hi), ctx)
 
 
 class ClaspPole(DenominatorVanishes):
@@ -554,12 +555,9 @@ def prune_box_sum(ws: WebSum, ctx: ClaspContext = None,
     """Reduce a sum of webs containing opaque clasp boxes and crossings,
     dropping every term in which a box meets a turnback.
 
-    Each web is dead-checked before anything else: a clasp kills a turnback
-    at any stage, so one that already meets a box is dropped unkeyed.  A
-    surviving web that still holds a crossing has its lowest-id crossing
-    smoothed, and the three smoothings are checked the same way in turn, so a
-    dead one is never smoothed further.  Only crossing-free survivors are
-    keyed and pay for face reduction.
+    A web that meets a box in a turnback is dropped unkeyed; a survivor
+    with a crossing has its lowest-id crossing smoothed and the smoothings
+    checked in turn, so only crossing-free survivors pay for face reduction.
     """
     ctx = ctx or default_context()
     out = WebSum.zero()
@@ -585,33 +583,31 @@ def prune_box_sum(ws: WebSum, ctx: ClaspContext = None,
 
 
 def braid_eigenvalue(word, n: int, ctx: ClaspContext = None,
-                     verify: bool = None) -> RationalFunction:
-    """The scalar by which a braid acts on the clasp: A to the signed
-    crossing count.  For small inputs (n <= 4 strands, at most four
-    crossings) the identity b P = A^c P is verified by the engine unless
-    ``verify`` is False.
+                     verify: bool = True) -> RationalFunction:
+    """The scalar A^c by which a braid acts on the clasp, c the signed
+    crossing count.
 
-    Verification works at the box level: the braid is stacked on the opaque
-    box and handed to ``prune_box_sum`` with its crossings unresolved.  They
-    are smoothed one at a time, and every smoothing that creates a turnback
-    dies against the box as soon as it is made, so the composite must reduce
-    to the pristine box scaled by the predicted power.
-    If the reduced sum is not literally that, the comparison falls back to
-    expanding the clasp and testing the difference through the closed pairing.
+    Unless ``verify`` is False, b P = A^c P is verified through its exact
+    factorization: it holds once sigma_g P = A^(+-1) P holds for each letter
+    g.  A letter is checked once per table and strand count: one crossing on
+    the opaque box goes to ``prune_box_sum`` (the closed pairing decides if
+    that is not literally the scaled box), and its scalar is memoized.
     """
+    for g in word:
+        if g == 0 or abs(g) >= n:
+            raise ValueError(f"bad braid generator {g} on {n} strands")
     ctx = ctx or default_context()
     coeff_a = ctx.table.crossing[0]
-    c = sum(1 if g > 0 else -1 for g in word)
-    value = coeff_a ** c
-    if verify is None:
-        verify = n <= 4 and len(word) <= 4
     if verify:
+        memo = eng.eval_memo(ctx.table)
         box = wb.clasp_box_web(n)
-        lhs = prune_box_sum(WebSum.from_web(wb.compose(braid_web(word, n), box)), ctx)
-        diff = lhs - WebSum.from_web(box, value)
-        if diff.is_zero():
-            return value
-        if not sum_is_zero(expand_boxes(diff, ctx), table=ctx.table):
-            raise AssertionError(
-                f"braid action on the clasp is not A^{c} as expected")
-    return value
+        for g in dict.fromkeys(word):
+            web = wb.compose(braid_web([g], n), box)
+            if web.canonical_key() in memo:
+                continue
+            value = coeff_a ** (1 if g > 0 else -1)
+            diff = prune_box_sum(WebSum.from_web(web), ctx) - WebSum.from_web(box, value)
+            if not (diff.is_zero() or sum_is_zero(expand_boxes(diff, ctx), table=ctx.table)):
+                raise AssertionError(f"generator {g} does not act on P_{n} by {value!r}")
+            memo[web.canonical_key()] = value
+    return coeff_a ** sum(1 if g > 0 else -1 for g in word)

@@ -364,11 +364,10 @@ def eval_closed(w, table: RuleTable = None, budget: int = 10 ** 6) -> RationalFu
     resolved; clasp boxes are not allowed here (the clasp module expands
     them with its own pruning).  A whole web is never keyed: it is split
     into connected components by ``Web.closed_components``, and each
-    component is evaluated through a memo on its canonical key, one memo
-    per relation-table hash.
+    component's value is kept in ``eval_memo(table)``.
     """
     table = table or default_table()
-    memo = _EVAL_MEMO.setdefault(table.table_hash(), {})
+    memo = eval_memo(table)
     bud = _Budget(budget)
     total = _ZERO
     for coeff, web in ([(_ONE, w)] if isinstance(w, Web) else w):
@@ -414,6 +413,11 @@ def _eval_component(web: Web, table, bud, memo) -> RationalFunction:
 
 
 _EVAL_MEMO: dict = {}
+
+
+def eval_memo(table: RuleTable) -> dict:
+    """The table's memo of web values under their canonical keys."""
+    return _EVAL_MEMO.setdefault(table.table_hash(), {})
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from c2spider.cache import ClaspCache, cache_gc
 from c2spider.ring import (DenominatorVanishes, LaurentPoly,
                            RationalFunction as RF, cyclotomic_orders, qint,
                            specialize)
-from c2spider.rules import default_table
+from c2spider.rules import RuleTable, default_table
 from c2spider.tqft import Spine
 
 q = LaurentPoly.q_power
@@ -202,6 +202,7 @@ def test_clasp_pole_sets(ctx):
 
 
 def test_clasp_poles_expand_nothing(ctx, monkeypatch):
+    monkeypatch.setattr(eng, "_EVAL_MEMO", {})
     monkeypatch.setattr(eng, "pair_closed", _forbidden)
     monkeypatch.setattr(cl, "clasp_expand", _forbidden)
     poles = cl.clasp_poles(8, ctx)
@@ -319,6 +320,7 @@ def test_networks_never_expand_a_clasp_flat(ctx, monkeypatch):
             raise AssertionError(f"flat P_{n} expanded inside a network")
         return flat(n, kind, ctx)
 
+    monkeypatch.setattr(eng, "_EVAL_MEMO", {})
     monkeypatch.setattr(cl, "clasp_expand", single_strands_only)
     assert cl.theta_net(4, 4, 0, ctx) == cat.qdim((4, 0))
     assert cl.clasp_trace((4, 0), ctx) == cat.qdim((4, 0))
@@ -377,6 +379,7 @@ def _refuse(*args, **kwargs):
 def test_braid_check_stays_on_the_box_fast_path(ctx, monkeypatch):
     # crossings are smoothed against the box one at a time: nothing is
     # resolved up front, and no clasp is expanded or pairing taken
+    monkeypatch.setattr(eng, "_EVAL_MEMO", {})
     monkeypatch.setattr(eng, "resolve_crossings", _refuse)
     monkeypatch.setattr(cl, "sum_is_zero", _refuse)
     monkeypatch.setattr(cl, "expand_boxes", _refuse)
@@ -403,20 +406,81 @@ def test_box_pruning_smooths_crossings_like_full_resolution(ctx):
                 {k: c for k, (c, _) in eager.terms.items()}, (word, n)
 
 
+def test_every_braid_word_acts_on_the_box_by_its_scalar(ctx):
+    # the whole-word identity b P = A^c P, checked word by word without
+    # braid_eigenvalue, which proves it through the generators
+    words = [(w, n) for n, max_len in ((2, 4), (3, 4), (4, 3))
+             for w in _words(n, max_len)]
+    assert len(words) == 631
+    for word, n in words:
+        box = wb.clasp_box_web(n)
+        c = sum(1 if g > 0 else -1 for g in word)
+        lhs = cl.prune_box_sum(
+            eng.WebSum.from_web(wb.compose(cl.braid_web(word, n), box)), ctx)
+        assert (lhs - eng.WebSum.from_web(box, RF.coerce(q(c)))).is_zero(), (word, n)
+
+
 def test_braid_check_runs_by_default_on_four_strands(ctx, monkeypatch):
+    # every word is verified by default, whatever its length or strand
+    # count: one single-crossing check per new (n, generator), none for a
+    # generator already proven on that many strands
+    monkeypatch.setattr(eng, "_EVAL_MEMO", {})
     seen = []
     prune = cl.prune_box_sum
 
     def spy(ws, *args, **kwargs):
-        seen.append(len(ws))
+        (_, web), = ws
+        seen.append((web.n_in, sorted(web.vkind.values())))
         return prune(ws, *args, **kwargs)
 
     monkeypatch.setattr(cl, "prune_box_sum", spy)
     assert cl.braid_eigenvalue([1, -3, 2, 2], 4, ctx) == RF.coerce(q(2))
-    assert seen == [1]
-    cl.braid_eigenvalue([1, 2, 3, 4], 5, ctx)
-    cl.braid_eigenvalue([1, 2, 3, 1, 2], 4, ctx)
-    assert seen == [1]
+    assert seen == [(4, ["clasp", "cross"])] * 3
+    assert cl.braid_eigenvalue([2, 1, -3, 1, -3], 4, ctx) == RF.coerce(q(1))
+    assert len(seen) == 3
+    assert cl.braid_eigenvalue([1, 2, 3, 4], 5, ctx) == RF.coerce(q(4))
+    assert seen[3:] == [(5, ["clasp", "cross"])] * 4
+    assert cl.braid_eigenvalue([1, 2, 3, 1, 2], 4, ctx) == RF.coerce(q(5))
+    assert seen[7:] == [(4, ["clasp", "cross"])]
+
+
+def test_generator_proofs_are_kept_per_table(ctx, tmp_path, monkeypatch):
+    monkeypatch.setattr(eng, "_EVAL_MEMO", {})
+    assert cl.braid_eigenvalue([1, -1], 2, ctx) == RF.coerce(1)
+    # a wrong A gives another table hash, so nothing proven above is reused.
+    # sigma_1 P = A P holds under any crossing coefficients (the other two
+    # smoothings are turnbacks), so the wrong A shows on sigma_1^-1 P = B P,
+    # which is no longer A^-1 P
+    a, b, c = ctx.table.crossing
+    wrong = RuleTable(ctx.table.loop, ctx.table.rules, (a * a, b, c),
+                      ctx.table.framing, ctx.table.meta)
+    assert wrong.table_hash() != ctx.table.table_hash()
+    wctx = cl.ClaspContext(wrong, ClaspCache(root=str(tmp_path),
+                                             table_hash=wrong.table_hash()))
+    assert cl.braid_eigenvalue([1], 2, wctx) == a * a
+    with pytest.raises(AssertionError):
+        cl.braid_eigenvalue([-1], 2, wctx)
+    # a proven generator does not let a bad letter through
+    cl.braid_eigenvalue([1], 3, ctx)
+    with pytest.raises(ValueError):
+        cl.braid_eigenvalue([1, 3], 3, ctx)
+    with pytest.raises(ValueError):
+        cl.braid_eigenvalue([0], 3, ctx, verify=False)
+
+
+def test_theta_permutations_share_one_memo_entry(ctx, monkeypatch):
+    monkeypatch.setattr(eng, "_EVAL_MEMO", {})
+    calls = []
+    expand = cl.expand_boxes
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(cl, "expand_boxes", spy)
+    values = {t: cl.theta_net(*t, ctx) for t in ((1, 2, 1), (2, 1, 1), (1, 1, 2))}
+    assert len(calls) == 1
+    assert len(set(values.values())) == 1
 
 
 def test_p3_cache_payload_bytes(tmp_path):
@@ -487,6 +551,7 @@ def test_pair_closed_equals_termwise_sum(ctx):
 
 
 def test_expansion_needs_no_pairing(tmp_path, monkeypatch):
+    monkeypatch.setattr(eng, "_EVAL_MEMO", {})
     monkeypatch.setattr(eng, "pair_closed", _forbidden)
     cl._MEMO.clear()
     table = default_table()
