@@ -48,10 +48,46 @@ def test_expand_base_cases(ctx):
 
 
 def test_recursion_coefficients_n2(ctx):
-    c1, c2 = cl.recursion_coefficients(2, ctx)
+    c1, c2 = cl.recursion_coefficients(2)
     delta1 = ctx.table.loop["s"]
     assert c1 == RF.coerce(-1) / delta1
     assert c2 == RF.coerce(1) / RF.coerce(qint(2) * qint(2))
+
+
+_FLAT = {}
+
+
+def _flat_clasp(n, ctx):
+    """Reference P_n, independent of the box-level expansion: the recursion
+    composed and reduced on flat sums, P_{n-1} itself expanded this way."""
+    key = (ctx.table.table_hash(), n)
+    if key not in _FLAT:
+        if n <= 1:
+            _FLAT[key] = eng.WebSum.from_web(wb.id_web(["s"] * n))
+        else:
+            t0, t1, t2 = _recursion_terms(n, ctx)
+            c1, c2 = cl.recursion_coefficients(n)
+            _FLAT[key] = t0 + t1.scale(c1) + t2.scale(c2)
+    return _FLAT[key]
+
+
+def _recursion_terms(n, ctx):
+    """The reduced flat sums t0 = P_{n-1} (x) 1, t1 = t0 E t0 and t2 = t0 G t0."""
+    table = ctx.table
+    one = wb.id_web(["s"])
+    t0 = eng.reduce_sum(_flat_clasp(n - 1, ctx).map_webs(lambda w: wb.tensor(w, one)),
+                        table=table)
+    t1 = eng.reduce_sum(eng.sum_compose(t0, eng.sum_compose(
+        eng.WebSum.from_web(cl.e_at(n, n - 2)), t0)), table=table)
+    t2 = eng.reduce_sum(eng.sum_compose(t0, eng.sum_compose(
+        eng.WebSum.from_web(cl.g_at(n, n - 2)), t0)), table=table)
+    return t0, t1, t2
+
+
+def test_expansion_equals_the_flat_recursion(ctx):
+    for n in (2, 3, 4):
+        assert eng.sums_equal(cl.clasp_expand(n, "single", ctx), _flat_clasp(n, ctx),
+                              table=ctx.table), n
 
 
 def _solve_recursion_coefficients(n, ctx):
@@ -62,7 +98,7 @@ def _solve_recursion_coefficients(n, ctx):
     condition determines (c1, c2).
     """
     table = ctx.table
-    t0, t1, t2 = cl._recursion_terms(n, ctx)
+    t0, t1, t2 = _recursion_terms(n, ctx)
     rows = []
     for probe in (cl.cap_at(n, n - 2), cl.merge_at(n, n - 2)):
         xs = [eng.reduce_sum(eng.sum_compose(eng.WebSum.from_web(probe), t),
@@ -78,7 +114,7 @@ def _solve_recursion_coefficients(n, ctx):
 
 def test_recursion_coefficients_match_pairing_solve(ctx):
     for n in (2, 3, 4):
-        assert cl.recursion_coefficients(n, ctx) == \
+        assert cl.recursion_coefficients(n) == \
             _solve_recursion_coefficients(n, ctx)
 
 
@@ -90,11 +126,11 @@ def test_recursion_coefficients_partial_trace(ctx):
                            table=ctx.table) / delta
     assert beta == RF.coerce(qint(5))
     for n in range(2, 11):
-        c1, c2 = cl.recursion_coefficients(n, ctx)
+        c1, c2 = cl.recursion_coefficients(n)
         assert delta + c1 + c2 * beta == \
             -cat.qdim((n, 0)) / cat.qdim((n - 1, 0))
     with pytest.raises(ValueError):
-        cl.recursion_coefficients(1, ctx)
+        cl.recursion_coefficients(1)
 
 
 def test_expand_two_strands_shape(ctx):
@@ -173,19 +209,19 @@ def test_triple_space_dim():
         assert cl.triple_space_dim(2, 2, 2, q_order=order) == want
 
 
-def test_clasp_poles(ctx):
+def test_clasp_poles():
     # P_0 and P_1 are identities: nothing to divide by
-    assert cl.clasp_poles(0, ctx) == frozenset()
-    assert cl.clasp_poles(1, ctx) == frozenset()
+    assert cl.clasp_poles(0) == frozenset()
+    assert cl.clasp_poles(1) == frozenset()
     # P_3's recursion coefficient c1 = q^4 Phi_8 / (Phi_3 Phi_6 Phi_16)
     # has a Phi_16 below the line, so P_3 does not exist at order 16
-    c1, _ = cl.recursion_coefficients(3, ctx)
+    c1, _ = cl.recursion_coefficients(3)
     assert specialize(c1.den, 16).is_zero()
-    poles = cl.clasp_poles(3, ctx)
+    poles = cl.clasp_poles(3)
     assert 16 in poles
     assert 20 not in poles and 24 not in poles
     with pytest.raises(ValueError):
-        cl.clasp_poles(-1, ctx)
+        cl.clasp_poles(-1)
 
 
 def _forbidden(*args, **kwargs):
@@ -195,18 +231,18 @@ def _forbidden(*args, **kwargs):
 def test_clasp_pole_sets(ctx):
     want = {2: {4, 12}, 3: {3, 4, 6, 12, 16}, 4: {3, 4, 6, 8, 12, 16, 20}}
     for n, poles in want.items():
-        assert cl.clasp_poles(n, ctx) == poles
+        assert cl.clasp_poles(n) == poles
         # oracle: the poles of the coefficients of the expansion itself
         dens = {c.den for c, _ in cl.clasp_expand(n, "single", ctx)}
         assert frozenset().union(*map(cyclotomic_orders, dens)) == poles
 
 
-def test_clasp_poles_expand_nothing(ctx, monkeypatch):
+def test_clasp_poles_expand_nothing(monkeypatch):
     monkeypatch.setattr(eng, "_EVAL_MEMO", {})
     monkeypatch.setattr(eng, "pair_closed", _forbidden)
     monkeypatch.setattr(cl, "clasp_expand", _forbidden)
-    poles = cl.clasp_poles(8, ctx)
-    assert cl.clasp_poles(4, ctx) < poles
+    poles = cl.clasp_poles(8)
+    assert cl.clasp_poles(4) < poles
     assert 36 in poles   # [18] in the denominator of c1(8)
 
 
@@ -266,8 +302,8 @@ def test_theta_at_agrees_with_kac_walton_labels_6(ctx, monkeypatch):
 
 def _flat_value(web, ctx):
     """Reference value of a closed web of single boxes: each box is replaced
-    by the flat P_n of clasp_expand, and a term in which a box meets a
-    turnback is dropped before it is reduced."""
+    by the flat reference P_n, and a term in which a box meets a turnback is
+    dropped before it is reduced."""
     total = RF.coerce(0)
     stack = [(RF.coerce(1), web)]
     while stack:
@@ -280,7 +316,7 @@ def _flat_value(web, ctx):
             total = total + coeff * eng.eval_closed(w, ctx.table)
             continue
         v = boxes[-1]
-        p = cl.clasp_expand(w.vextra[v][0], "single", ctx)
+        p = _flat_clasp(w.vextra[v][0], ctx)
         pieces = eng._splice(w, {v}, list(w.vlegs[v]), [eng.to_mini(d) for _, d in p])
         partial = eng.WebSum()
         for (c, _), piece in zip(p, pieces):
@@ -468,6 +504,21 @@ def test_generator_proofs_are_kept_per_table(ctx, tmp_path, monkeypatch):
         cl.braid_eigenvalue([0], 3, ctx, verify=False)
 
 
+def test_one_crossing_leaves_a_multiple_of_the_box(ctx):
+    # braid_eigenvalue compares coefficients only: every smoothing of one
+    # crossing on the box but the straight one is a turnback, so the
+    # difference from A^(+-1) times the box is literally zero
+    a = ctx.table.crossing[0]
+    gens = [(n, g) for n in range(2, 9) for i in range(1, n) for g in (i, -i)]
+    assert len(gens) == 56
+    for n, g in gens:
+        box = wb.clasp_box_web(n)
+        lhs = cl.prune_box_sum(
+            eng.WebSum.from_web(wb.compose(cl.braid_web([g], n), box)), ctx)
+        assert (lhs - eng.WebSum.from_web(box, a ** (1 if g > 0 else -1))).is_zero(), \
+            (n, g)
+
+
 def test_theta_permutations_share_one_memo_entry(ctx, monkeypatch):
     monkeypatch.setattr(eng, "_EVAL_MEMO", {})
     calls = []
@@ -484,8 +535,8 @@ def test_theta_permutations_share_one_memo_entry(ctx, monkeypatch):
 
 
 def test_p3_cache_payload_bytes(tmp_path):
-    # a recorded digest of the P_3 cache file: cache files written by earlier
-    # versions stay valid only while the payload bytes do not change
+    # a recorded digest of the P_3 cache file: new payload bytes need a new
+    # key name in ClaspContext._key, or files of earlier versions are read
     table = default_table()
     ctx = cl.ClaspContext(table, ClaspCache(root=str(tmp_path / "cache"),
                                             table_hash=table.table_hash()))
@@ -494,7 +545,7 @@ def test_p3_cache_payload_bytes(tmp_path):
     with open(ctx.cache._path(ctx._key(3, "single")), "rb") as fh:
         payload = fh.read()
     assert hashlib.sha256(payload).hexdigest() == \
-        "fac92dffdf4da9aec68da954782214afeef66880b66e013ea2627ed293d9bef8"
+        "4f2599b0ed3a7b82b65b20534e69496e3be9461044198a4c40cce6f25672f67c"
 
 
 def _cache_payload_digest(tmp_path, n):
@@ -509,19 +560,46 @@ def _cache_payload_digest(tmp_path, n):
 
 def test_p2_cache_payload_bytes(tmp_path):
     assert _cache_payload_digest(tmp_path, 2) == \
-        "05ec43ca5d275ec530ca1bc59baa226e11e113b31b79bfcf0e9d6625b8da19ce"
+        "133ab67efa7ab0598f3d7094cdde4bbdfad482aa7daa19bd6a1ab8a58737f1cf"
 
 
 def test_p4_cache_payload_bytes(tmp_path):
     assert _cache_payload_digest(tmp_path, 4) == \
-        "664f82ac576268d256e7d991c6aa7f3f7004f603693fb011f34bb1c29989c4dc"
+        "7b1b2df7d768dbbc36000f8ee612a773b2b527fa18ca8c8883e84b791fc522a0"
 
 
 @pytest.mark.slow
 def test_p5_cache_payload_bytes(tmp_path):
-    # about a minute cold; run with -m slow
+    # about 13 s cold on a 2-core host; run with -m slow
     assert _cache_payload_digest(tmp_path, 5) == \
-        "64fa37a16f860bd87d3cc1e6f3d9574b318c756c12a390b7cfb21bebe755ab07"
+        "4baf1ac0faef6dfcd4cdd6d0e9570fda45a4b9722af3a51fc9508f6a6fd3e3d3"
+
+
+def test_cache_files_of_earlier_versions_are_not_read(tmp_path):
+    # earlier versions wrote another sum for the same P_n under this name;
+    # a payload planted there, here a wrong one, is never read
+    table = default_table()
+    ctx = cl.ClaspContext(table, ClaspCache(root=str(tmp_path / "cache"),
+                                            table_hash=table.table_hash()))
+    ctx.cache.put("clasp-single-3", cl._websum_to_json(eng.WebSum.from_web(cl._id(3))))
+    cl._MEMO.pop((table.table_hash(), "single", 3), None)
+    p3 = cl.clasp_expand(3, "single", ctx)
+    assert len(p3) == 15
+    assert eng.sums_equal(p3, _flat_clasp(3, ctx), table=table)
+
+
+@pytest.mark.slow
+def test_turnbacks_p5(ctx):
+    # about three minutes on a 2-core host; run with -m slow
+    report = cl.turnback_kill(5, ctx)
+    assert len(report) == 4
+    assert all(v["cap"] and v["vertex"] for v in report.values())
+
+
+@pytest.mark.slow
+def test_idempotence_p5(ctx):
+    # about a minute on a 2-core host; run with -m slow
+    assert cl.idempotent(5, ctx)
 
 
 def _pair_termwise(x, y, table):
