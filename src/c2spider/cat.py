@@ -135,6 +135,19 @@ def _strict_fold(x):
     return (x0, x1), sign
 
 
+_WEYL = []
+for s0 in (1, -1):
+    for s1 in (1, -1):
+        _WEYL.append((False, s0, s1, s0 * s1))      # (x, y) -> (s0 x, s1 y)
+        _WEYL.append((True, s0, s1, -s0 * s1))      # (x, y) -> (s0 y, s1 x)
+
+
+def _weyl_apply(elem, v):
+    swap, s0, s1, _ = elem
+    x, y = (v[1], v[0]) if swap else v
+    return (s0 * x, s1 * y)
+
+
 @lru_cache(maxsize=None)
 def weight_multiplicities(w) -> dict:
     """Weight system of the irreducible with highest weight w: a map from
@@ -184,14 +197,8 @@ def weight_multiplicities(w) -> dict:
     # expand to the full Weyl orbits
     full = {}
     for dom, m in mult.items():
-        x0, x1 = dom
-        orbit = set()
-        for s0 in (1, -1):
-            for s1 in (1, -1):
-                orbit.add((s0 * x0, s1 * x1))
-                orbit.add((s0 * x1, s1 * x0))
-        for mu in orbit:
-            full[mu] = m
+        for elem in _WEYL:
+            full[_weyl_apply(elem, dom)] = m
     if sum(full.values()) != classical_dim((a, b)):
         raise NonIntegerResult(
             f"weight system of {(a, b)} sums to {sum(full.values())}, "
@@ -287,19 +294,6 @@ def twist_exponent(w) -> int:
     """<lambda, lambda + 2 rho> in the fixed normalization."""
     lam = eps(check_weight(w))
     return ip(lam, (lam[0] + 2 * RHO[0], lam[1] + 2 * RHO[1]))
-
-
-_WEYL = []
-for s0 in (1, -1):
-    for s1 in (1, -1):
-        _WEYL.append((False, s0, s1, s0 * s1))      # (x, y) -> (s0 x, s1 y)
-        _WEYL.append((True, s0, s1, -s0 * s1))      # (x, y) -> (s0 y, s1 x)
-
-
-def _weyl_apply(elem, v):
-    swap, s0, s1, _ = elem
-    x, y = (v[1], v[0]) if swap else v
-    return (s0 * x, s1 * y)
 
 
 @dataclass

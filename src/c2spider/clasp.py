@@ -41,8 +41,6 @@ whole word by composition, so each generator is proven once per table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import engine as eng
 from . import web as wb
 from .cache import ClaspCache
@@ -53,20 +51,6 @@ from .rules import RuleTable, default_table
 
 _ONE = RationalFunction.coerce(1)
 _ZERO = RationalFunction.coerce(0)
-
-
-@dataclass(frozen=True)
-class ClaspLabel:
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError("clasp weight components must be nonnegative")
-
-    @property
-    def expandable(self) -> bool:
-        return self.a == 0 or self.b == 0
 
 
 # -- strand-level building blocks ----------------------------------------------
@@ -219,6 +203,14 @@ def clasp_poles(n: int) -> frozenset:
 # -- axioms and verification ------------------------------------------------------
 
 
+def _annihilates(probe, p: WebSum, ctx: ClaspContext, above: bool) -> bool:
+    """Whether the probe web, stacked on p from above or from below, reduces
+    to an exact zero."""
+    probe = WebSum.from_web(probe)
+    stacked = sum_compose(probe, p) if above else sum_compose(p, probe)
+    return sum_is_zero(reduce_sum(stacked, table=ctx.table), table=ctx.table)
+
+
 def turnback_kill(n: int, ctx: ClaspContext = None) -> dict:
     """Verify that every elementary turnback annihilates the clasp.
 
@@ -227,42 +219,30 @@ def turnback_kill(n: int, ctx: ClaspContext = None) -> dict:
     """
     ctx = ctx or default_context()
     p = clasp_expand(n, "single", ctx)
-    report = {}
-    for i in range(n - 1):
-        capped = reduce_sum(sum_compose(WebSum.from_web(cap_at(n, i)), p),
-                            table=ctx.table)
-        merged = reduce_sum(sum_compose(WebSum.from_web(merge_at(n, i)), p),
-                            table=ctx.table)
-        report[i] = {"cap": sum_is_zero(capped, table=ctx.table),
-                     "vertex": sum_is_zero(merged, table=ctx.table)}
-    return report
+    return {i: {"cap": _annihilates(cap_at(n, i), p, ctx, above=True),
+                "vertex": _annihilates(merge_at(n, i), p, ctx, above=True)}
+            for i in range(n - 1)}
 
 
 def idempotent(n: int, ctx: ClaspContext = None) -> bool:
-    """Engine verification that the clasp squares to itself.
+    """Engine verification that the clasp squares to itself, through the
+    exact factorization of the recursion.
 
-    For n <= 3 the two expansions are composed and compared directly.  For
-    larger n the same identity is verified through its exact factorization:
-    with P = T0 + c1 T1 + c2 T2 and T0 = P' (x) 1, idempotence of P' gives
-    P T0 = P and P Ti = (P . turnback) . rest, so P P - P vanishes exactly
-    when the two mirrored turnbacks annihilate P from below.  Each of those
-    is an engine-computed zero test, and the inductive base is the direct
-    check; this keeps the verification exact while avoiding the quadratic
-    blowup of composing the full expansions.
+    P_0 and P_1 are identities.  For n >= 2 write P = T0 + c1 T0 E T0 +
+    c2 T0 G T0 with T0 = P' (x) 1, P' = P_{n-1} (T0 is the identity at
+    n = 2).  Idempotence of P' gives P T0 = P, and P T0 E T0 =
+    (P cup) cap T0, P T0 G T0 = (P split) merge T0 with the cup and the
+    split at position n-2.  So PP = P follows when P' is idempotent and
+    those two turnbacks annihilate P from below; each is an exact zero
+    test, and neither composes P with itself.
     """
+    if n <= 1:
+        return True
     ctx = ctx or default_context()
     p = clasp_expand(n, "single", ctx)
-    if n <= 3:
-        pp = reduce_sum(sum_compose(p, p), table=ctx.table)
-        return eng.sums_equal(pp, p, table=ctx.table)
-    if not idempotent(n - 1, ctx):
-        return False
-    below_cap = reduce_sum(sum_compose(p, WebSum.from_web(cup_at(n, n - 2))),
-                           table=ctx.table)
-    below_vertex = reduce_sum(sum_compose(p, WebSum.from_web(split_at(n, n - 2))),
-                              table=ctx.table)
-    return sum_is_zero(below_cap, table=ctx.table) and \
-        sum_is_zero(below_vertex, table=ctx.table)
+    return idempotent(n - 1, ctx) and all(
+        _annihilates(probe(n, n - 2), p, ctx, above=False)
+        for probe in (cup_at, split_at))
 
 
 # -- clasp boxes inside webs ---------------------------------------------------------
@@ -272,20 +252,26 @@ def _box_positions(web):
     return [v for v in sorted(web.vkind) if web.vkind[v] == "clasp"]
 
 
-def _box_is_dead(web, v) -> bool:
-    """Adjacent-leg cap or adjacent-leg trivalent vertex on one side of the box."""
-    a, b, n = web.vextra[v]
+def _adjacent_legs(web, v):
+    """The far ends (u1, u2) of each two adjacent legs on one side of box v.
+    When a cap joins the two legs, each far end is the other leg, so
+    web.pair[u1] == u2."""
+    n = web.vextra[v][2]
     legs = web.vlegs[v]
     for side in (legs[:n], legs[n:]):
         for t in range(len(side) - 1):
-            u1 = web.pair[side[t]]
-            u2 = web.pair[side[t + 1]]
-            if u1 == side[t + 1]:
-                return True
-            v1 = web.dart_vertex.get(u1)
-            if v1 is not None and v1 == web.dart_vertex.get(u2) \
-                    and web.vkind[v1] == "tri":
-                return True
+            yield web.pair[side[t]], web.pair[side[t + 1]]
+
+
+def _box_is_dead(web, v) -> bool:
+    """Adjacent-leg cap or adjacent-leg trivalent vertex on one side of the box."""
+    for u1, u2 in _adjacent_legs(web, v):
+        if web.pair[u1] == u2:
+            return True
+        v1 = web.dart_vertex.get(u1)
+        if v1 is not None and v1 == web.dart_vertex.get(u2) \
+                and web.vkind[v1] == "tri":
+            return True
     return False
 
 
@@ -295,26 +281,21 @@ def _box_straighten_step(web):
     parallel strands (the square relation is monic, and its other two
     components die as turnbacks).  Returns the rewritten web or None."""
     for v in _box_positions(web):
-        a, b, n = web.vextra[v]
-        legs = web.vlegs[v]
-        for side in (legs[:n], legs[n:]):
-            for t in range(len(side) - 1):
-                u1 = web.pair[side[t]]
-                u2 = web.pair[side[t + 1]]
-                va = web.dart_vertex.get(u1)
-                vb = web.dart_vertex.get(u2)
-                if va is None or vb is None or va == vb:
-                    continue
-                if web.vkind.get(va) != "tri" or web.vkind.get(vb) != "tri":
-                    continue
-                da = next(d for d in web.vlegs[va] if web.etype[d] == "d")
-                if web.pair[da] not in web.vlegs[vb]:
-                    continue
-                sa = next(d for d in web.vlegs[va] if d not in (u1, da))
-                db = web.pair[da]
-                sb = next(d for d in web.vlegs[vb] if d not in (u2, db))
-                mini = ((), ((("x", 0), ("x", 1), "s"), (("x", 2), ("x", 3), "s")))
-                return eng._splice(web, {va, vb}, [u1, sa, u2, sb], [mini])[0]
+        for u1, u2 in _adjacent_legs(web, v):
+            va = web.dart_vertex.get(u1)
+            vb = web.dart_vertex.get(u2)
+            if va is None or vb is None or va == vb:
+                continue
+            if web.vkind.get(va) != "tri" or web.vkind.get(vb) != "tri":
+                continue
+            da = next(d for d in web.vlegs[va] if web.etype[d] == "d")
+            if web.pair[da] not in web.vlegs[vb]:
+                continue
+            sa = next(d for d in web.vlegs[va] if d not in (u1, da))
+            db = web.pair[da]
+            sb = next(d for d in web.vlegs[vb] if d not in (u2, db))
+            mini = ((), ((("x", 0), ("x", 1), "s"), (("x", 2), ("x", 3), "s")))
+            return eng._splice(web, {va, vb}, [u1, sa, u2, sb], [mini])[0]
     return None
 
 
@@ -323,9 +304,10 @@ def _box_absorb_step(web):
     boxes = _box_positions(web)
     for v in boxes:
         a, b, n = web.vextra[v]
+        if not n:
+            continue   # the box on no strands is stacked on nothing
         legs = web.vlegs[v]
-        outs = legs[n:]
-        target = web.dart_vertex.get(web.pair[outs[0]])
+        target = web.dart_vertex.get(web.pair[legs[n]])
         if target is None or target == v or web.vkind.get(target) != "clasp":
             continue
         if web.vextra[target][:2] != (a, b):
@@ -383,8 +365,9 @@ def expand_boxes(ws, ctx: ClaspContext = None, budget: int = 10 ** 6) -> WebSum:
     A single box (n, 0), n >= 2, is replaced by the three webs of
     ``_recursion_webs``, whose boxes of n-1 are expanded in turn; only boxes
     of at most one strand and double-type boxes are replaced by the flat
-    ``clasp_expand``, an identity web there; ``clasp_expand`` itself is
-    this function on one open box.  Each spliced piece is settled before it
+    ``clasp_expand``, an identity web there, and a mixed box raises
+    NotImplementedError; ``clasp_expand`` itself is this function on one
+    open box.  Each spliced piece is settled before it
     is reduced, so a piece in which a box meets a turnback is dropped
     before it is keyed.  The smallest box is expanded first, the newest among equals: on
     a 2-core host theta(4,4,4) takes 0.8 s this way, 4.2 s oldest first.
@@ -411,6 +394,9 @@ def expand_boxes(ws, ctx: ClaspContext = None, budget: int = 10 ** 6) -> WebSum:
         a, b, n_in = web.vextra[v]
         if b == 0 and a >= 2:
             expansion = recursion[a]
+        elif a and b:
+            raise NotImplementedError(
+                f"mixed clasps ({a},{b}) with a, b > 0 are labels only")
         else:
             expansion = [(c, eng.to_mini(d)) for c, d in
                          clasp_expand(a + b, "single" if b == 0 else "double", ctx)]
@@ -441,19 +427,13 @@ def eval_box_web(w, ctx: ClaspContext = None, budget: int = 10 ** 6) -> Rational
 
 
 def clasp_trace(weight, ctx: ClaspContext = None) -> RationalFunction:
-    """Close the clasp in an annulus and evaluate (the quantum trace)."""
-    ctx = ctx or default_context()
+    """Close the clasp box in an annulus and evaluate (the quantum trace);
+    the box is expanded by ``expand_boxes``, which says which weights it can
+    expand."""
     a, b = weight
-    if not ClaspLabel(a, b).expandable:
-        raise NotImplementedError("mixed clasps (a,b) with a,b > 0 are labels only")
-    if a == 0 and b == 0:
-        return _ONE
-    if a == 0:
-        if b == 1:
-            return eval_closed(wb.loop_web("d"), table=ctx.table)
-        raise NotImplementedError(
-            "double-type clasp traces are implemented for b <= 1 only")
-    return eval_box_web(wb.trace_closure(wb.clasp_box_web(a)), ctx)
+    if a < 0 or b < 0:
+        raise ValueError("clasp weight components must be nonnegative")
+    return eval_box_web(wb.trace_closure(wb.clasp_box_web(a, b)), ctx)
 
 
 def _theta_web(a: int, b: int, c: int):
@@ -537,13 +517,18 @@ def triple_space_dim(a: int, b: int, c: int, q_order=None) -> int:
 def braid_web(word, n: int):
     """Braid word as a web: entries are nonzero signed generator indices,
     +i crossing strands (i, i+1) positively, 1-indexed."""
+    _check_braid_word(word, n)
     out = _id(n)
     for g in word:
-        if g == 0 or abs(g) >= n:
-            raise ValueError(f"bad braid generator {g} on {n} strands")
         layer = _at(n, abs(g) - 1, wb.crossing_web(g > 0))
         out = wb.compose(layer, out)
     return out
+
+
+def _check_braid_word(word, n: int):
+    for g in word:
+        if g == 0 or abs(g) >= n:
+            raise ValueError(f"bad braid generator {g} on {n} strands")
 
 
 def prune_box_sum(ws: WebSum, ctx: ClaspContext = None,
@@ -590,9 +575,7 @@ def braid_eigenvalue(word, n: int, ctx: ClaspContext = None,
     straight one is a turnback, so what is left is a multiple of the box and
     the check compares coefficients; its scalar is memoized.
     """
-    for g in word:
-        if g == 0 or abs(g) >= n:
-            raise ValueError(f"bad braid generator {g} on {n} strands")
+    _check_braid_word(word, n)
     ctx = ctx or default_context()
     coeff_a = ctx.table.crossing[0]
     if verify:

@@ -147,7 +147,7 @@ class Certificate:
     walk: CurveWalk
     level: int
     edge_labels: dict
-    vertex_triples: list     # (vertex, (pe, pf, pg), True, True): space nonzero
+    vertex_triples: list     # (vertex, (pe, pf, pg)), each space nonzero
     complexity_m: int
     order_condition: str
     conclusion: str
@@ -156,16 +156,14 @@ class Certificate:
 
     def to_json(self):
         return {
-            "schema": "c2spider/certificate/1",
+            "schema": "c2spider/certificate/2",
             "spine": self.spine.to_json(),
             "walk": self.walk.to_json(),
             "level": self.level,
             "q_order": q_order(self.level),
             "edge_labels": {str(e): list(l) for e, l in self.edge_labels.items()},
-            "vertex_triples": [
-                {"vertex": v, "triple": list(t), "admissible": adm,
-                 "order_ok": ook}
-                for v, t, adm, ook in self.vertex_triples],
+            "vertex_triples": [{"vertex": v, "triple": list(t)}
+                               for v, t in self.vertex_triples],
             "complexity": self.complexity_m,
             "order_condition": self.order_condition,
             "conclusion": self.conclusion,
@@ -232,7 +230,7 @@ def certify_detection(walk: CurveWalk, k: int, numeric: bool = False,
                                         f"vertex {v} triangle evaluates to zero")
     cert = Certificate(
         spine=walk.spine, walk=walk, level=k, edge_labels=labels,
-        vertex_triples=[(v, t, True, True) for v, t in enumerate(triples)],
+        vertex_triples=list(enumerate(triples)),
         complexity_m=m,
         order_condition=f"4k+12 = {order} > 2m+4 = {2 * m + 4}",
         conclusion="detected", notes=notes, numeric_checks=numeric_checks)

@@ -45,6 +45,17 @@ def _rational(x):
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 class LaurentPoly:
     """Laurent polynomial in q over the rationals.
 
@@ -202,14 +213,7 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if n < 0:
             return RationalFunction.from_poly(self) ** n
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, LaurentPoly.one())
 
     def __truediv__(self, other):
         return RationalFunction.from_poly(self) / other
@@ -614,14 +618,7 @@ class RationalFunction:
     def __pow__(self, n: int):
         if n < 0:
             return RationalFunction.coerce(1) / (self ** (-n))
-        out = RationalFunction.coerce(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, RationalFunction.coerce(1))
 
     def __repr__(self):
         if self.is_poly():
@@ -873,14 +870,7 @@ class CycNumber:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = CycNumber.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, CycNumber.one(self.order))
 
     def conj(self) -> "CycNumber":
         """Galois conjugation q -> q^-1 (complex conjugation on any embedding).

@@ -28,12 +28,15 @@ def ctx(tmp_path_factory):
                                              table_hash=table.table_hash()))
 
 
-def test_clasp_label_expandable():
-    assert cl.ClaspLabel(3, 0).expandable
-    assert cl.ClaspLabel(0, 2).expandable
-    assert not cl.ClaspLabel(1, 1).expandable
+def test_clasp_label_expandable(ctx):
+    # clasp labels are plain weights: negative components are refused, and a
+    # mixed box (a, b > 0) is a label that no expansion handles
     with pytest.raises(ValueError):
-        cl.ClaspLabel(-1, 0)
+        cl.clasp_trace((-1, 0), ctx)
+    with pytest.raises(ValueError):
+        cl.clasp_trace((0, -1), ctx)
+    with pytest.raises(NotImplementedError, match="mixed"):
+        cl.clasp_trace((1, 1), ctx)
 
 
 def test_expand_base_cases(ctx):
@@ -153,6 +156,15 @@ def test_idempotence(ctx):
         assert cl.idempotent(n, ctx)
 
 
+def test_idempotence_by_direct_composition(ctx):
+    # reference for the factorized proof of idempotent(): compose P with
+    # itself and compare by pairing
+    for n in (2, 3):
+        p = cl.clasp_expand(n, "single", ctx)
+        pp = eng.reduce_sum(eng.sum_compose(p, p), table=ctx.table)
+        assert eng.sums_equal(pp, p, table=ctx.table), n
+
+
 def test_traces_match_quantum_dimensions(ctx):
     assert cl.clasp_trace((0, 0), ctx) == RF.coerce(1)
     assert cl.clasp_trace((1, 0), ctx) == ctx.table.loop["s"]
@@ -161,8 +173,6 @@ def test_traces_match_quantum_dimensions(ctx):
     for n in (1, 2, 3):
         sign = RF.coerce((-1) ** n)
         assert cl.clasp_trace((n, 0), ctx) == sign * cat.qdim((n, 0))
-    with pytest.raises(NotImplementedError):
-        cl.clasp_trace((1, 1), ctx)
     with pytest.raises(NotImplementedError):
         cl.clasp_trace((0, 2), ctx)
 

@@ -75,9 +75,10 @@ def test_certify_theta_at_level_one():
     assert cert.conclusion == "detected"
     assert cert.order_condition == "4k+12 = 16 > 2m+4 = 8"
     data = cert.to_json()
-    assert data["schema"] == "c2spider/certificate/1"
+    assert data["schema"] == "c2spider/certificate/2"
     assert data["conclusion"] == "detected"
     assert len(data["vertex_triples"]) == 2
+    assert all(set(t) == {"vertex", "triple"} for t in data["vertex_triples"])
 
 
 def test_certify_level_too_small_then_detected():
