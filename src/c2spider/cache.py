@@ -2,7 +2,8 @@
 
 Entries live under ``<root>/<rule-table-hash>/<key>.json`` so that changing
 the relation table invalidates everything automatically; ``cache_gc`` removes
-entries stored under any other table hash.  Writers take an advisory lock
+entries stored under any other table hash, and entries under the current
+hash whose key does not start with ``KEY_PREFIX``.  Writers take an advisory lock
 file so concurrent command-line invocations stay safe; readers need none
 (writes are atomic renames).
 """
@@ -15,6 +16,9 @@ import tempfile
 import time
 
 ENV_VAR = "C2SPIDER_CACHE"
+# every key the current clasp expansion path writes starts with this; earlier
+# versions wrote other sums of the same P_n under "clasp-{kind}-{n}"
+KEY_PREFIX = "clasp-box-"
 
 
 def default_cache_dir():
@@ -95,7 +99,8 @@ class ClaspCache:
 
 
 def cache_gc(root, current_hash) -> dict:
-    """Remove entries stored under stale rule-table hashes."""
+    """Remove entries under stale rule-table hashes, and entries under the
+    current one whose key lacks KEY_PREFIX (its lock and temporary files stay)."""
     removed = 0
     kept = 0
     if not os.path.isdir(root):
@@ -104,12 +109,14 @@ def cache_gc(root, current_hash) -> dict:
         sub = os.path.join(root, name)
         if not os.path.isdir(sub):
             continue
-        if name == current_hash:
-            kept += sum(1 for f in os.listdir(sub) if f.endswith(".json"))
-            continue
+        current = name == current_hash
         for f in sorted(os.listdir(sub)):
+            entry = f.endswith(".json")
+            if current and (f.startswith(KEY_PREFIX) or not entry):
+                kept += entry
+                continue
             os.unlink(os.path.join(sub, f))
-            if f.endswith(".json"):
-                removed += 1
-        os.rmdir(sub)
+            removed += entry
+        if not current:
+            os.rmdir(sub)
     return {"removed": removed, "kept": kept}

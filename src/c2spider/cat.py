@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .ring import CycNumber, LaurentPoly, RationalFunction, qint, specialize
+from .ring import CycNumber, LaurentPoly, RationalFunction, cyc_dot, qint, specialize
 
 
 class NotSimpleAtLevel(ValueError):
@@ -327,14 +327,10 @@ def modular_data(k: int) -> ModularData:
     rho_shift = [(eps(w)[0] + RHO[0], eps(w)[1] + RHO[1]) for w in objs]
     s_tilde = []
     for u in rho_shift:
-        row = []
-        for v in rho_shift:
-            acc = CycNumber.zero(n)
-            for elem in _WEYL:
-                wu = _weyl_apply(elem, u)
-                acc = acc + CycNumber.root_power(n, -2 * ip(wu, v)) * elem[3]
-            row.append(acc)
-        s_tilde.append(row)
+        images = [(_weyl_apply(elem, u), elem[3]) for elem in _WEYL]
+        s_tilde.append([specialize(LaurentPoly([(-2 * ip(wu, v), sign)
+                                                for wu, sign in images]), n)
+                        for v in rho_shift])
     t_diag = [CycNumber.root_power(n, twist_exponent(w)) for w in objs]
     s00 = s_tilde[0][0]
     if s00.is_zero():
@@ -342,16 +338,13 @@ def modular_data(k: int) -> ModularData:
     inv00 = s00.inverse()
     omega = [x * inv00 for x in s_tilde[0]]
     # S~ S~^dagger must be a scalar matrix
-    norm = None
-    for i in range(len(objs)):
-        for j in range(len(objs)):
-            acc = CycNumber.zero(n)
-            for l in range(len(objs)):
-                acc = acc + s_tilde[i][l] * s_tilde[j][l].conj()
+    conj = [[x.conj() for x in row] for row in s_tilde]
+    norm = cyc_dot(s_tilde[0], conj[0])
+    for i, row in enumerate(s_tilde):
+        for j, row_bar in enumerate(conj):
+            acc = cyc_dot(row, row_bar)
             if i == j:
-                if norm is None:
-                    norm = acc
-                elif acc != norm:
+                if acc != norm:
                     raise NonIntegerResult("S~ S~+ is not a scalar matrix")
             elif not acc.is_zero():
                 raise NonIntegerResult("S~ rows are not orthogonal")
@@ -361,11 +354,9 @@ def modular_data(k: int) -> ModularData:
 
 def verlinde_multiplicity(md: ModularData, lam, mu, nu) -> int:
     """Fusion multiplicity from the Verlinde formula, exactly."""
-    i, j, l = md.index(lam), md.index(mu), md.index(nu)
-    acc = CycNumber.zero(md.order)
-    for s in range(len(md.simples)):
-        acc = acc + (md.s_tilde[i][s] * md.s_tilde[j][s] *
-                     md.s_tilde[l][s].conj()) * md.vacuum_inv[s]
+    si, sj, sl = (md.s_tilde[md.index(w)] for w in (lam, mu, nu))
+    acc = cyc_dot([x * y for x, y in zip(si, sj)],
+                  [z.conj() * inv for z, inv in zip(sl, md.vacuum_inv)])
     val = acc / md.s_norm_sq
     r = val.as_rational()
     if r.denominator != 1 or r < 0:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from . import engine as eng
 from . import web as wb
-from .cache import ClaspCache
+from .cache import KEY_PREFIX, ClaspCache
 from .engine import WebSum, eval_closed, reduce_sum, sum_compose, sum_is_zero
 from .ring import (CycNumber, DenominatorVanishes, RationalFunction,
                    cyclotomic_orders, qint, specialize)
@@ -116,9 +116,7 @@ class ClaspContext:
         self.cache = cache
 
     def _key(self, n, kind):
-        # named after the expansion path: earlier versions wrote other sums
-        # of the same P_n under "clasp-{kind}-{n}", and those are never read
-        return f"clasp-box-{kind}-{n}"
+        return f"{KEY_PREFIX}{kind}-{n}"
 
 
 _DEFAULT_CTX = None

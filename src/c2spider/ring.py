@@ -17,6 +17,9 @@ Three scalar domains, all exact (no floating point):
   terms.  Phi_N is monic with integer coefficients, so products reduce
   without leaving the integers, and inverses come from the Galois conjugates
   q -> q^j (gcd(j, N) = 1) and their product, the norm, a rational integer.
+  A sum of products is one kernel, ``cyc_dot``: the integer convolutions of
+  all pairs add up over one denominator, then reduce by Phi_N and to lowest
+  terms once.  A single product is the kernel on one pair.
 
 Quantum integers use the symmetric convention [n] = (q^n - q^-n)/(q - q^-1),
 so [n] specializes to zero at a root of unity of order N exactly when N | 2n.
@@ -419,11 +422,6 @@ def _reduce(vec, n: int) -> list:
     return vec
 
 
-def _mulmod(a, b, n: int) -> list:
-    """Product of two residues modulo Phi_n."""
-    return _reduce(_int_mul(a, b), n)
-
-
 @lru_cache(maxsize=None)
 def _roots(n: int) -> tuple:
     """q^e modulo Phi_n for 0 <= e < n, as integer tuples."""
@@ -739,6 +737,36 @@ def _raw(order: int, num: tuple, den: int) -> "CycNumber":
     return x
 
 
+def cyc_dot(xs, ys) -> "CycNumber":
+    """Sum of x * y over the pairs of CycNumbers of xs and ys, normalized once.
+
+    Pairs with a zero factor are skipped; the others must have the order of
+    xs[0] (OrderMismatch otherwise).  Their integer convolutions, scaled to
+    the lcm of the pairs' denominators, add up in one list of length
+    2 deg Phi_N - 1, which is reduced by Phi_N and put in lowest terms."""
+    order = xs[0].order
+    pairs, den = [], 1
+    for x, y in zip(xs, ys):
+        if any(x.num) and any(y.num):
+            if x.order != order or y.order != order:
+                raise OrderMismatch(f"orders {x.order} and {y.order} in a sum of order {order}")
+            d = x.den * y.den
+            den = den // gcd(den, d) * d
+            pairs.append((x.num, y.num, d))
+    deg = _phi_tail(order)[0]
+    if not pairs:
+        return _raw(order, (0,) * deg, 1)
+    acc = [0] * (2 * deg - 1)
+    for xn, yn, d in pairs:
+        m = den // d
+        for i, a in enumerate(xn):
+            if a:
+                a *= m
+                for j, b in enumerate(yn, i):
+                    acc[j] += a * b
+    return _cyc(order, _reduce(acc, order), den)
+
+
 class CycNumber:
     """Element of Q[q] / Phi_N(q), the order-N cyclotomic field.
 
@@ -831,9 +859,7 @@ class CycNumber:
         if isinstance(other, (int, Fraction)):
             return _cyc(self.order, [c * other.numerator for c in self.num],
                         self.den * other.denominator)
-        other = self.coerce_other(other)
-        return _cyc(self.order, _mulmod(self.num, other.num, self.order),
-                    self.den * other.den)
+        return cyc_dot((self,), (self.coerce_other(other),))
 
     __rmul__ = __mul__
 
@@ -852,8 +878,8 @@ class CycNumber:
         if any(num[1:]):
             for j in range(2, n):
                 if gcd(j, n) == 1:
-                    prod = _mulmod(prod, _galois(num, j, n), n)
-        norm = _mulmod(num, prod, n)
+                    prod = _reduce(_int_mul(prod, _galois(num, j, n)), n)
+        norm = _reduce(_int_mul(num, prod), n)
         if any(norm[1:]):
             raise ArithmeticError(f"norm of {self} is not rational")
         norm = norm[0]

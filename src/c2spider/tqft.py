@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .cat import (ModularData, NonIntegerResult, check_weight, modular_data,
                   fusion_dict, q_order, simples)
-from .ring import CycNumber
+from .ring import CycNumber, cyc_dot
 
 
 @dataclass(frozen=True)
@@ -110,47 +110,36 @@ class Spine:
 
 def statespace_dim(spine: Spine, k: int) -> int:
     """Number of admissible labelings, counted with vertex fusion
-    multiplicities."""
+    multiplicities; a partial labeling is dropped at its first empty vertex."""
     spine.validate()
-    if spine.circle:
-        return len(simples(k))
     objs = simples(k)
-    ends = spine.vertex_edge_ends()
+    if spine.circle:
+        return len(objs)
     n_edges = len(spine.edges)
-    total = 0
-    labeling = [None] * n_edges
+    closes = [[] for _ in range(n_edges)]   # edge triples of the vertices e completes
+    for ends in spine.vertex_edge_ends():
+        closes[max(ends)].append(ends)
     fusions = {}      # (lam, mu) -> {nu: multiplicity} at level k, this call only
-
-    closes = [[] for _ in range(n_edges)]   # vertices whose last edge is e
-    for v in range(spine.n_vertices):
-        closes[max(ends[v])].append(v)
-
-    def vertex_factor(v):
-        e1, e2, e3 = ends[v]
-        pair = (labeling[e1], labeling[e2])
-        table = fusions.get(pair)
-        if table is None:
-            table = fusions[pair] = fusion_dict(*pair, level=k)
-        return table.get(labeling[e3], 0)
-
-    def rec(edge, prod):
-        nonlocal total
+    total = 0
+    stack = [(0, 1, ())]    # (next edge, product of closed vertices, labels so far)
+    while stack:
+        edge, prod, labels = stack.pop()
         if edge == n_edges:
             total += prod
-            return
+            continue
         for w in objs:
-            labeling[edge] = w
-            # the vertices this edge closes are fully labeled: prune on them
+            labeling = labels + (w,)
             factor = prod
-            for v in closes[edge]:
-                factor *= vertex_factor(v)
+            for e1, e2, e3 in closes[edge]:
+                pair = (labeling[e1], labeling[e2])
+                table = fusions.get(pair)
+                if table is None:
+                    table = fusions[pair] = fusion_dict(*pair, level=k)
+                factor *= table.get(labeling[e3], 0)
                 if not factor:
                     break
             if factor:
-                rec(edge + 1, factor)
-        labeling[edge] = None
-
-    rec(0, 1)
+                stack.append((edge + 1, factor, labeling))
     return total
 
 
@@ -163,10 +152,8 @@ def verlinde_dim(genus: int, k: int) -> int:
     if genus == 1:
         return len(md.simples)
     norm = md.s_norm_sq ** (genus - 1)
-    acc = CycNumber.zero(md.order)
-    for inv in md.vacuum_inv:
-        acc = acc + norm * inv ** (2 * genus - 2)
-    r = acc.as_rational()
+    powers = [inv ** (2 * genus - 2) for inv in md.vacuum_inv]
+    r = cyc_dot([norm] * len(powers), powers).as_rational()
     if r.denominator != 1 or r < 0:
         raise NonIntegerResult(f"Verlinde dimension {r} is not a nonnegative integer")
     return int(r)
@@ -176,18 +163,8 @@ def verlinde_dim(genus: int, k: int) -> int:
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    zero = CycNumber.zero(a[0][0].order)
-    out = [[zero for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            x = a[i][t]
-            if x.is_zero():
-                continue
-            for j in range(m):
-                if not b[t][j].is_zero():
-                    out[i][j] = out[i][j] + x * b[t][j]
-    return out
+    cols = list(zip(*b))
+    return [[cyc_dot(row, col) for col in cols] for row in a]
 
 
 def mat_eq(a, b):

@@ -650,6 +650,18 @@ def test_expansion_needs_no_pairing(tmp_path, monkeypatch):
         assert ctx.cache.get(ctx._key(n, "single")) is not None
 
 
+def test_cache_gc_removes_keys_of_earlier_schemes(tmp_path):
+    table = default_table()
+    root = str(tmp_path / "cache")
+    ctx = cl.ClaspContext(table, ClaspCache(root=root, table_hash=table.table_hash()))
+    assert ctx._key(3, "single") == "clasp-box-single-3"
+    ctx.cache.put("clasp-single-3", {"old": True})
+    ctx.cache.put("clasp-box-single-3", {"new": True})
+    assert cache_gc(root, table.table_hash()) == {"removed": 1, "kept": 1}
+    assert ctx.cache.get("clasp-single-3") is None
+    assert ctx.cache.get("clasp-box-single-3") == {"new": True}
+
+
 def test_cache_roundtrip_and_gc(tmp_path):
     table = default_table()
     root = str(tmp_path / "cache")

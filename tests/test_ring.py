@@ -14,11 +14,13 @@ from c2spider.ring import (
     OrderMismatch,
     RationalFunction,
     _sum_fractions,
+    cyc_dot,
     cyclotomic_orders,
     cyclotomic_poly,
     qint,
     specialize,
 )
+from c2spider.tqft import mat_mul
 
 q = LaurentPoly.q_power
 
@@ -440,3 +442,64 @@ def test_order_must_be_positive():
                       lambda: specialize(5, order)):
             with pytest.raises(ValueError):
                 build()
+
+
+def rand_cyc(rng, order):
+    """Zero about one time in four, else coefficients over mixed denominators."""
+    if rng.random() < 0.25:
+        return CycNumber.zero(order)
+    return CycNumber(order, [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5)))
+                             for _ in range(rng.randint(1, order))])
+
+
+def naive_product(x, y):
+    """x * y by a Fraction convolution and the constructor's reduction."""
+    conv = [Fraction(0)] * (2 * len(x.num) - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            conv[i + j] += a * b
+    return CycNumber(x.order, conv)
+
+
+@pytest.mark.parametrize("order", [16, 20, 24, 28, 32])
+def test_cyc_dot_matches_naive_sum(order):
+    rng = random.Random(order)
+    zero = CycNumber.zero(order)
+    for _ in range(25):
+        n = rng.randint(1, 6)
+        xs = [rand_cyc(rng, order) for _ in range(n)]
+        ys = [rand_cyc(rng, order) for _ in range(n)]
+        naive = zero
+        for x, y in zip(xs, ys):
+            naive = naive + naive_product(x, y)
+        assert cyc_dot(xs, ys) == naive
+        assert_canonical(cyc_dot(xs, ys))
+        # the pairs and their negatives cancel to the canonical 0/1
+        cancel = cyc_dot(xs + [-x for x in xs], ys + ys)
+        assert cancel.num == zero.num and cancel.den == 1
+    assert cyc_dot([zero, zero], [CycNumber.one(order), zero]) == zero
+
+
+def test_cyc_dot_order_mismatch():
+    a, b = CycNumber.one(16), CycNumber.root_power(20, 3)
+    with pytest.raises(OrderMismatch):
+        cyc_dot([a, b], [a, b])
+    with pytest.raises(OrderMismatch):
+        cyc_dot([a], [b])
+    with pytest.raises(OrderMismatch):
+        a * b
+    # a pair with a zero factor is skipped before its order is looked at
+    assert cyc_dot([a, CycNumber.zero(20)], [a, b]) == a
+
+
+def test_mat_mul_matches_triple_loop():
+    rng = random.Random(12)
+    for order, (n, k, m) in ((20, (2, 3, 4)), (28, (3, 3, 3)), (16, (4, 1, 2))):
+        a = [[rand_cyc(rng, order) for _ in range(k)] for _ in range(n)]
+        b = [[rand_cyc(rng, order) for _ in range(m)] for _ in range(k)]
+        want = [[CycNumber.zero(order) for _ in range(m)] for _ in range(n)]
+        for i in range(n):
+            for j in range(m):
+                for t in range(k):
+                    want[i][j] = want[i][j] + naive_product(a[i][t], b[t][j])
+        assert mat_mul(a, b) == want

@@ -1,5 +1,6 @@
 """State spaces, Verlinde cross-checks and the torus representation."""
 
+import gc
 import itertools
 import json
 
@@ -45,6 +46,31 @@ def test_genus_two_basis_independence_and_verlinde():
         db = tqft.statespace_dim(Spine.dumbbell(), k)
         vd = tqft.verlinde_dim(2, k)
         assert th == db == vd
+
+
+def test_statespace_dim_leaves_no_reference_cycles():
+    spines = (Spine.theta_graph(), Spine.dumbbell())
+    for k in (1, 2, 3):     # fill the fusion caches first
+        for spine in spines:
+            tqft.statespace_dim(spine, k)
+    gc.collect()
+    gc.disable()
+    try:
+        for k in (1, 2, 3):
+            for spine in spines:
+                tqft.statespace_dim(spine, k)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_modular_data_past_benchmark_levels():
+    for k in range(5, 9):     # N = 32, 36, 40, 44
+        md = cat.modular_data(k)
+        assert md.order == 4 * k + 12
+        assert md.omega == [cat.qdim_at(w, md.order) for w in md.simples]
+        if k <= 6:
+            assert tqft.verlinde_dim(2, k) == tqft.statespace_dim(Spine.theta_graph(), k)
 
 
 def test_verlinde_genus_one():
