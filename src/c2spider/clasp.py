@@ -30,8 +30,10 @@ box (n, 0) with n >= 2 is expanded by the recursion at the level of boxes,
 T0 + c1 T0 E T0 + c2 T0 G T0 with T0 a box of n-1 beside a strand, as
 recoupling theory does it (L. Kauffman and S. Lins, "Temperley-Lieb
 Recoupling Theory and Invariants of 3-Manifolds", 1994).  That is the one
-expansion path: the flat P_n of ``clasp_expand`` is the same recursion
-applied to a single open box, and no network ever holds it.  The flat sum
+expansion step, ``_expand_one_box``.  A closed network is valued like a
+plain web: expand one box, reduce, value each piece in turn, and keep each
+boxed sub-network's value under its canonical key, so none is flattened.
+The flat P_n of ``clasp_expand`` is the step repeated on one open box; it
 serves the CLI, ``turnback_kill`` and ``idempotent``.
 
 A braid acts on P_n by A^c, c its signed crossing count, and the identity
@@ -40,6 +42,8 @@ whole word by composition, so each generator is proven once per table.
 """
 
 from __future__ import annotations
+
+import functools
 
 from . import engine as eng
 from . import web as wb
@@ -332,6 +336,7 @@ def _settle(web):
         web = rewritten
 
 
+@functools.cache
 def _recursion_webs(n):
     """The recursion for P_n, n >= 2, at the level of boxes: the webs
     T0 = P_{n-1} (x) 1, T0 E T0 and T0 G T0 with coefficients 1, c1, c2.
@@ -343,8 +348,8 @@ def _recursion_webs(n):
     runs; upper copy first, P_4 has 112 and those keep 23 and 24 terms, and
     the clasp-cold benchmark takes 1.10 s, not 0.67 s, on a 2-core host.
     A sandwich is symmetric top to bottom, so its mirror is the same diagram
-    with the lower copy the newer vertex, which ``expand_boxes`` picks first
-    among equal boxes.
+    with the lower copy the newer vertex, which ``_expand_one_box`` picks
+    first among equal boxes.  Cached by n: it does not depend on the table.
     """
     t0 = wb.tensor(wb.clasp_box_web(n - 1), _id(1)) if n > 2 else _id(2)
     c1, c2 = recursion_coefficients(n)
@@ -356,27 +361,42 @@ def _recursion_webs(n):
             (c1, sandwich(e_at(n, n - 2))), (c2, sandwich(g_at(n, n - 2)))]
 
 
-def expand_boxes(ws, ctx: ClaspContext = None, budget: int = 10 ** 6) -> WebSum:
-    """Replace every clasp box by its expansion, interleaving reduction and
-    turnback pruning; the result is a sum of plain webs.
+def _expand_one_box(web, ctx: ClaspContext, budget: int) -> WebSum:
+    """Expand one box of a settled web; the pieces are settled, the dead ones
+    dropped before they are keyed, and the rest reduced with boxes kept.
 
-    A single box (n, 0), n >= 2, is replaced by the three webs of
-    ``_recursion_webs``, whose boxes of n-1 are expanded in turn; only boxes
-    of at most one strand and double-type boxes are replaced by the flat
-    ``clasp_expand``, an identity web there, and a mixed box raises
-    NotImplementedError; ``clasp_expand`` itself is this function on one
-    open box.  Each spliced piece is settled before it
-    is reduced, so a piece in which a box meets a turnback is dropped
-    before it is keyed.  The smallest box is expanded first, the newest among equals: on
-    a 2-core host theta(4,4,4) takes 0.8 s this way, 4.2 s oldest first.
+    A single box (n, 0), n >= 2, becomes the three webs of
+    ``_recursion_webs``; a box of at most one strand or of double type the
+    flat ``clasp_expand``, an identity web there; a mixed box raises
+    NotImplementedError.  The smallest box goes first, the newest among
+    equals: on a 2-core host theta(4,4,4) takes 0.2 s so, 22 s largest first.
     """
+    v = min(_box_positions(web),
+            key=lambda x: (web.vextra[x][0] + web.vextra[x][1], -x))
+    a, b, _ = web.vextra[v]
+    if b == 0 and a >= 2:
+        expansion = _recursion_webs(a)
+    elif a and b:
+        raise NotImplementedError(
+            f"mixed clasps ({a},{b}) with a, b > 0 are labels only")
+    else:
+        expansion = [(c, eng.to_mini(d)) for c, d in
+                     clasp_expand(a + b, "single" if b == 0 else "double", ctx)]
+    pieces = eng._splice(web, {v}, list(web.vlegs[v]), [m for _, m in expansion])
+    partial = WebSum.zero()
+    for (c, _), piece in zip(expansion, pieces):
+        piece = _settle(piece)
+        if piece is not None:
+            partial.add(c, piece)
+    return reduce_sum(partial, table=ctx.table, budget=budget, boxes_ok=True)
+
+
+def expand_boxes(ws, ctx: ClaspContext = None, budget: int = 10 ** 6) -> WebSum:
+    """Replace every clasp box of an open sum by its expansion, one
+    ``_expand_one_box`` step at a time; the result is a sum of plain webs."""
     ctx = ctx or default_context()
     if isinstance(ws, wb.Web):
         ws = WebSum.from_web(ws)
-    # the box-level recursion of every single box size that can occur
-    top = max((w.vextra[v][0] for _, w in ws for v in _box_positions(w)
-               if w.vextra[v][1] == 0), default=1)
-    recursion = {n: _recursion_webs(n) for n in range(2, top + 1)}
     out = WebSum.zero()
     stack = list(ws)
     while stack:
@@ -384,40 +404,28 @@ def expand_boxes(ws, ctx: ClaspContext = None, budget: int = 10 ** 6) -> WebSum:
         web = _settle(web)
         if web is None:
             continue
-        boxes = _box_positions(web)
-        if not boxes:
+        if not _box_positions(web):
             out.add(coeff, web)
             continue
-        v = min(boxes, key=lambda x: (web.vextra[x][0] + web.vextra[x][1], -x))
-        a, b, n_in = web.vextra[v]
-        if b == 0 and a >= 2:
-            expansion = recursion[a]
-        elif a and b:
-            raise NotImplementedError(
-                f"mixed clasps ({a},{b}) with a, b > 0 are labels only")
-        else:
-            expansion = [(c, eng.to_mini(d)) for c, d in
-                         clasp_expand(a + b, "single" if b == 0 else "double", ctx)]
-        pieces = eng._splice(web, {v}, list(web.vlegs[v]), [m for _, m in expansion])
-        partial = WebSum.zero()
-        for (c2, _), piece in zip(expansion, pieces):
-            piece = _settle(piece)
-            if piece is not None:
-                partial.add(coeff * c2, piece)
-        reduced = reduce_sum(partial, table=ctx.table, budget=budget, boxes_ok=True)
-        stack.extend(reduced)
+        stack.extend((coeff * c, w) for c, w in _expand_one_box(web, ctx, budget))
     return out
 
 
 def eval_box_web(w, ctx: ClaspContext = None, budget: int = 10 ** 6) -> RationalFunction:
-    """Value of a closed web that may contain clasp boxes, memoized under its
-    canonical key in the table's eval memo."""
+    """Value of a closed web: without boxes by ``eval_closed``, else by one
+    ``_expand_one_box`` step and the values of its pieces, memoized under
+    the web's canonical key in the table's eval memo."""
     ctx = ctx or default_context()
+    w = _settle(w)
+    if w is None:
+        return _ZERO
+    if not _box_positions(w):
+        return eval_closed(w, table=ctx.table, budget=budget)
     memo = eng.eval_memo(ctx.table)
     key = w.canonical_key()
     if key not in memo:
-        memo[key] = sum((coeff * eval_closed(plain, table=ctx.table, budget=budget)
-                         for coeff, plain in expand_boxes(w, ctx, budget)), _ZERO)
+        memo[key] = sum((c * eval_box_web(piece, ctx, budget)
+                         for c, piece in _expand_one_box(w, ctx, budget)), _ZERO)
     return memo[key]
 
 
@@ -426,8 +434,8 @@ def eval_box_web(w, ctx: ClaspContext = None, budget: int = 10 ** 6) -> Rational
 
 def clasp_trace(weight, ctx: ClaspContext = None) -> RationalFunction:
     """Close the clasp box in an annulus and evaluate (the quantum trace);
-    the box is expanded by ``expand_boxes``, which says which weights it can
-    expand."""
+    the box is expanded by ``_expand_one_box``, which says which weights it
+    can expand."""
     a, b = weight
     if a < 0 or b < 0:
         raise ValueError("clasp weight components must be nonnegative")
@@ -458,8 +466,8 @@ def theta_net(a: int, b: int, c: int, ctx: ClaspContext = None) -> RationalFunct
 
     The value is symmetric in the labels, so the network is laid out with
     the largest label first and the smallest second, the order in which box
-    expansion prunes soonest: on a 2-core host theta(4,5,5) takes 23 s laid
-    out as given and 1.2 s as (5,4,5).
+    expansion prunes soonest: on a 2-core host theta(4,5,5) takes 1.5 s laid
+    out as given and 0.2 s as (5,4,5), and (4,6,6) 9.0 s against 0.3 s.
     """
     lo, hi = min(a, b, c), max(a, b, c)
     if lo < 0:

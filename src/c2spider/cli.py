@@ -25,7 +25,7 @@ import sys
 
 from . import cat, faithful, tqft
 from . import clasp as clasp_mod
-from . import engine, web
+from . import web
 from .cache import ClaspCache, cache_gc, default_cache_dir
 from .ring import CycNumber, RationalFunction
 from .rules import default_table
@@ -88,10 +88,7 @@ def cmd_web_eval(args):
     bad = w.validate()
     if bad:
         raise ValueError(f"invalid web: {bad.kind}: {bad.detail}")
-    if w.has_kind("clasp"):
-        val = clasp_mod.eval_box_web(w, _ctx(args), budget=args.budget)
-    else:
-        val = engine.eval_closed(w, budget=args.budget)
+    val = clasp_mod.eval_box_web(w, _ctx(args), budget=args.budget)
     return _emit(args, {"schema": "c2spider/scalar/1",
                         "scalar": _rf_json(val, args)})
 

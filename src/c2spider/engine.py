@@ -361,10 +361,11 @@ def eval_closed(w, table: RuleTable = None, budget: int = 10 ** 6) -> RationalFu
     the empty web).
 
     Tetravalent vertices are expanded in place and crossings, where present,
-    resolved; clasp boxes are not allowed here (the clasp module expands
-    them with its own pruning).  A whole web is never keyed: it is split
-    into connected components by ``Web.closed_components``, and each
-    component's value is kept in ``eval_memo(table)``.
+    resolved; clasp boxes are not allowed here (``clasp.eval_box_web``
+    expands them one at a time and hands each box-free piece here).  A whole
+    web is never keyed: it is split into connected components by
+    ``Web.closed_components``, and each component's value is kept in
+    ``eval_memo(table)``.
     """
     table = table or default_table()
     memo = eval_memo(table)

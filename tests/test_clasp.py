@@ -302,9 +302,8 @@ def test_theta_at_agrees_with_kac_walton(ctx, thetas, monkeypatch):
     assert _kac_walton_agreements(thetas, ctx, monkeypatch) == 177
 
 
-@pytest.mark.slow
 def test_theta_at_agrees_with_kac_walton_labels_6(ctx, monkeypatch):
-    # about 2.5 minutes, nearly all of it theta(6,6,6)
+    # about 5 s on a 2-core host, most of it theta(6,6,6)
     values = {t: cl.theta_net(*t, ctx) for t in _admissible_triples(6) if t[2] == 6}
     assert len(values) == 10
     assert _kac_walton_agreements(values, ctx, monkeypatch) == 70
@@ -345,7 +344,7 @@ def test_thetas_equal_their_flat_clasp_values(ctx, thetas):
 
 
 def test_theta_nn0_is_the_signed_quantum_dimension(ctx):
-    for n in range(7):
+    for n in range(9):
         assert cl.theta_net(n, n, 0, ctx) == RF.coerce((-1) ** n) * cat.qdim((n, 0))
 
 
@@ -358,7 +357,23 @@ def test_theta_552_equals_its_flat_value(thetas):
     assert thetas[(2, 5, 5)] == want
 
 
+def test_theta_666_equals_its_flattened_value(ctx):
+    # computed once by flattening the whole network into plain webs, the
+    # path of earlier versions (about 140 s on a 2-core host)
+    num = [1, 0, 1, 1, 4, 1, 5, 3, 10, 4, 13, 6, 21, 9, 26, 12, 37, 16, 44, 20,
+           56, 24, 63, 28, 75, 31, 79, 35, 89, 36, 89, 38, 94, 38, 89, 36, 89,
+           35, 79, 31, 75, 28, 63, 24, 56, 20, 44, 16, 37, 12, 26, 9, 21, 6, 13,
+           4, 10, 3, 5, 1, 4, 1, 1, 0, 1]
+    den = [1, 0, 1, 0, 1, 0, 2, 2, 2, 2, 1, 2, 1, 4, 2, 4, 1, 2, 1, 2, 2, 2, 2,
+           0, 1, 0, 1, 0, 1]
+    want = RF(sum((-c * q(2 * i - 36) for i, c in enumerate(num)), LaurentPoly.const(0)),
+              sum((c * q(2 * i) for i, c in enumerate(den)), LaurentPoly.const(0)))
+    assert cl.theta_net(6, 6, 6, ctx) == want
+
+
 def test_networks_never_expand_a_clasp_flat(ctx, monkeypatch):
+    # a closed network is valued one box at a time: no flat P_n is spliced
+    # into it, and it is never flattened into a sum of plain webs
     flat = cl.clasp_expand
 
     def single_strands_only(n, kind="single", ctx=None):
@@ -366,8 +381,12 @@ def test_networks_never_expand_a_clasp_flat(ctx, monkeypatch):
             raise AssertionError(f"flat P_{n} expanded inside a network")
         return flat(n, kind, ctx)
 
+    def never_flatten(*args, **kwargs):
+        raise AssertionError("a closed network was flattened")
+
     monkeypatch.setattr(eng, "_EVAL_MEMO", {})
     monkeypatch.setattr(cl, "clasp_expand", single_strands_only)
+    monkeypatch.setattr(cl, "expand_boxes", never_flatten)
     assert cl.theta_net(4, 4, 0, ctx) == cat.qdim((4, 0))
     assert cl.clasp_trace((4, 0), ctx) == cat.qdim((4, 0))
 
@@ -530,17 +549,22 @@ def test_one_crossing_leaves_a_multiple_of_the_box(ctx):
 
 
 def test_theta_permutations_share_one_memo_entry(ctx, monkeypatch):
+    # theta_net lays out every permutation alike, so only the first one
+    # expands a box; the other two are read from the memo
     monkeypatch.setattr(eng, "_EVAL_MEMO", {})
     calls = []
-    expand = cl.expand_boxes
+    expand = cl._expand_one_box
 
     def spy(*args, **kwargs):
         calls.append(args)
         return expand(*args, **kwargs)
 
-    monkeypatch.setattr(cl, "expand_boxes", spy)
-    values = {t: cl.theta_net(*t, ctx) for t in ((1, 2, 1), (2, 1, 1), (1, 1, 2))}
-    assert len(calls) == 1
+    monkeypatch.setattr(cl, "_expand_one_box", spy)
+    values = {}
+    for t in ((1, 2, 1), (2, 1, 1), (1, 1, 2)):
+        before = len(calls)
+        values[t] = cl.theta_net(*t, ctx)
+        assert (len(calls) > before) == (t == (1, 2, 1)), t
     assert len(set(values.values())) == 1
 
 

@@ -5,6 +5,10 @@ import json
 import pytest
 
 from c2spider import cli
+from c2spider import clasp as cl
+from c2spider import engine as eng
+from c2spider import web as wb
+from c2spider.ring import RationalFunction as RF
 from c2spider.tqft import Spine
 
 
@@ -56,6 +60,31 @@ def test_web_eval_empty_and_loop(capsys, tmp_path):
     code, out, _ = run(capsys, "web", "eval", "--web", str(path))
     data = json.loads(out)
     assert data["scalar"]["num"] == [[-4, -1, 1], [-2, -1, 1], [2, -1, 1], [4, -1, 1]]
+
+
+def test_web_eval_takes_one_path_with_or_without_boxes(capsys, tmp_path, monkeypatch):
+    # a closed web holding a clasp box and one holding a crossing and no box
+    # are both valued by eval_box_web
+    monkeypatch.setenv("C2SPIDER_CACHE", str(tmp_path))
+    boxed = wb.trace_closure(wb.clasp_box_web(3))
+    kinked = wb.trace_closure(wb.tensor(wb.crossing_web(True), wb.id_web(["s"])))
+    cases = [(boxed, cl.clasp_trace((3, 0))), (kinked, eng.eval_closed(kinked))]
+    calls = []
+    value = cl.eval_box_web
+
+    def spy(w, *args, **kwargs):
+        calls.append(w.canonical_key())
+        return value(w, *args, **kwargs)
+
+    monkeypatch.setattr(cl, "eval_box_web", spy)
+    for w, want in cases:
+        path = tmp_path / "web.json"
+        path.write_text(json.dumps(w.to_json()))
+        calls.clear()
+        code, out, _ = run(capsys, "web", "eval", "--web", str(path))
+        assert code == 0
+        assert RF.from_json(json.loads(out)["scalar"]) == want
+        assert calls[0] == w.canonical_key()
 
 
 def test_web_rules_text_and_json(capsys):
