@@ -217,13 +217,17 @@ def turnback_kill(n: int, ctx: ClaspContext = None) -> dict:
     """Verify that every elementary turnback annihilates the clasp.
 
     Returns {position: {"cap": bool, "vertex": bool}}; all True means pass.
-    For n = 1 there are no turnbacks and the report is empty (vacuous pass).
+    For n <= 1 the report is empty (vacuous pass).  Every term of P_m has
+    T0 = P_{m-1} (x) 1 on top (see ``idempotent``), so position m-2 is all
+    that is new in P_m: each P_m, m = 2..n, is probed there only.
     """
     ctx = ctx or default_context()
-    p = clasp_expand(n, "single", ctx)
-    return {i: {"cap": _annihilates(cap_at(n, i), p, ctx, above=True),
-                "vertex": _annihilates(merge_at(n, i), p, ctx, above=True)}
-            for i in range(n - 1)}
+    report = {}
+    for m in range(2, n + 1):
+        p = clasp_expand(m, "single", ctx)
+        report[m - 2] = {"cap": _annihilates(cap_at(m, m - 2), p, ctx, above=True),
+                         "vertex": _annihilates(merge_at(m, m - 2), p, ctx, above=True)}
+    return report
 
 
 def idempotent(n: int, ctx: ClaspContext = None) -> bool:
@@ -579,7 +583,8 @@ def braid_eigenvalue(word, n: int, ctx: ClaspContext = None,
     g.  A letter is checked once per table and strand count: one crossing on
     the opaque box goes to ``prune_box_sum``, where every smoothing but the
     straight one is a turnback, so what is left is a multiple of the box and
-    the check compares coefficients; its scalar is memoized.
+    the check compares coefficients; its scalar is memoized under the name
+    ("braid", n, g) of that diagram, exact for one table.
     """
     _check_braid_word(word, n)
     ctx = ctx or default_context()
@@ -588,12 +593,12 @@ def braid_eigenvalue(word, n: int, ctx: ClaspContext = None,
         memo = eng.eval_memo(ctx.table)
         box = wb.clasp_box_web(n)
         for g in dict.fromkeys(word):
-            web = wb.compose(braid_web([g], n), box)
-            if web.canonical_key() in memo:
+            if ("braid", n, g) in memo:
                 continue
             value = coeff_a ** (1 if g > 0 else -1)
+            web = wb.compose(braid_web([g], n), box)
             diff = prune_box_sum(WebSum.from_web(web), ctx) - WebSum.from_web(box, value)
             if not diff.is_zero():
                 raise AssertionError(f"generator {g} does not act on P_{n} by {value!r}")
-            memo[web.canonical_key()] = value
+            memo["braid", n, g] = value
     return coeff_a ** sum(1 if g > 0 else -1 for g in word)

@@ -417,7 +417,8 @@ _EVAL_MEMO: dict = {}
 
 
 def eval_memo(table: RuleTable) -> dict:
-    """The table's memo of web values under their canonical keys."""
+    """The table's memo of web values under their canonical keys; it also
+    holds the braid generators proven on a clasp, under ("braid", n, g)."""
     return _EVAL_MEMO.setdefault(table.table_hash(), {})
 
 

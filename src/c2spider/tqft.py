@@ -13,15 +13,18 @@ meridian operator is diagonal with the fundamental character values, and any
 other curve operator is obtained by conjugating along a mapping class word.
 All matrices are exact cyclotomic matrices, kept unnormalized; every
 statement checked downstream is conjugation- or phase-insensitive.
+No inverse is stored: S~ S~+ = s_norm_sq * id and T is a diagonal of roots
+of unity, so a word M with #s letters 's' has M^-1 = M+ / s_norm_sq^#s
+(B. Bakalov and A. Kirillov, "Lectures on Tensor Categories and Modular
+Functors", AMS 2001, ch. 3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .cat import (ModularData, NonIntegerResult, check_weight, modular_data,
-                  fusion_dict, q_order, simples)
+from .cat import ModularData, NonIntegerResult, modular_data, fusion_dict, simples
 from .ring import CycNumber, cyc_dot
 
 
@@ -167,6 +170,10 @@ def mat_mul(a, b):
     return [[cyc_dot(row, col) for col in cols] for row in a]
 
 
+def mat_scale_columns(a, diag):
+    return [[x * d for x, d in zip(row, diag)] for row in a]
+
+
 def mat_eq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
@@ -203,48 +210,34 @@ class TorusRep:
     ``s`` is the S-move and ``t`` the Dehn twist about the meridian; both are
     defined up to a global scalar (the framing phase of the twist is tracked
     projectively, not normalized away), so only conjugation-invariant or
-    projective statements are meaningful.
+    projective statements are meaningful.  No inverse is kept: a word M with
+    #s letters 's' has M M+ = md.s_norm_sq^#s * id.
     """
     level: int
     md: ModularData
     s: list
     t: list
-    s_inv: list
-    t_inv: list
 
     def word_matrix(self, word):
-        """Matrix (and exact inverse) of a word in {'s', 't'}, read as a
-        composition: the rightmost letter acts first."""
-        n = len(self.md.simples)
-        m = mat_identity(n, self.md.order)
-        m_inv = mat_identity(n, self.md.order)
+        """Matrix of a word in {'s', 't'}, read as a composition: the
+        rightmost letter acts first.  An 's' multiplies by S; a 't' scales
+        the columns by the twist eigenvalues."""
+        m = None
         for g in word:
             if g == "s":
-                m = mat_mul(m, self.s)
-                m_inv = mat_mul(self.s_inv, m_inv)
+                m = self.s if m is None else mat_mul(m, self.s)
             elif g == "t":
-                m = mat_mul(m, self.t)
-                m_inv = mat_mul(self.t_inv, m_inv)
+                m = self.t if m is None else mat_scale_columns(m, self.md.t_diag)
             else:
                 raise ValueError(f"unknown torus generator {g!r}")
-        return m, m_inv
+        return mat_identity(len(self.md.simples), self.md.order) if m is None else m
 
 
 @lru_cache(maxsize=None)
 def torus_rep(k: int) -> TorusRep:
     md = modular_data(k)
-    n = len(md.simples)
-    order = md.order
-    zero = CycNumber.zero(order)
-    t = [[md.t_diag[i] if i == j else zero for j in range(n)] for i in range(n)]
-    t_inv = [[md.t_diag[i].inverse() if i == j else zero for j in range(n)]
-             for i in range(n)]
-    s = [row[:] for row in md.s_tilde]
-    # S~ S~+ = norm: the exact inverse is the rescaled conjugate transpose
-    inv_norm = md.s_norm_sq.inverse()
-    s_inv = [[md.s_tilde[j][i].conj() * inv_norm for j in range(n)]
-             for i in range(n)]
-    return TorusRep(level=k, md=md, s=s, t=t, s_inv=s_inv, t_inv=t_inv)
+    t = mat_scale_columns(mat_identity(len(md.simples), md.order), md.t_diag)
+    return TorusRep(level=k, md=md, s=[row[:] for row in md.s_tilde], t=t)
 
 
 def normalize_curve(p: int, q: int):
@@ -316,21 +309,21 @@ def curve_operator_torus(curve, k: int):
     md = rep.md
     n = len(md.simples)
     v_index = md.index((1, 0))
-    zero = CycNumber.zero(md.order)
-    base = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        base[i][i] = md.s_tilde[v_index][i] * md.vacuum_inv[i]
-    if curve == MERIDIAN:
-        return base
     word = _word_reaching(curve)
-    m, m_inv = rep.word_matrix(word)
-    return mat_mul(m, mat_mul(base, m_inv))
+    # M^-1 = s_norm_sq^-#s M+: the scalar joins the diagonal
+    scale = md.s_norm_sq ** -word.count("s")
+    diag = [md.s_tilde[v_index][i] * md.vacuum_inv[i] * scale for i in range(n)]
+    if not word:
+        return mat_scale_columns(mat_identity(n, md.order), diag)
+    m = rep.word_matrix(word)
+    return mat_mul(mat_scale_columns(m, diag),
+                   [[x.conj() for x in col] for col in zip(*m)])
 
 
 def conjugation_identity_holds(word, curve, k: int) -> bool:
-    """Check V_h C(gamma) V_h^{-1} = C(h(gamma)) exactly on the torus."""
-    rep = torus_rep(k)
-    m, m_inv = rep.word_matrix(word)
-    lhs = mat_mul(m, mat_mul(curve_operator_torus(curve, k), m_inv))
-    rhs = curve_operator_torus(act_on_curve(word, normalize_curve(*curve)), k)
+    """Check V_h C(gamma) = C(h(gamma)) V_h exactly on the torus; V_h is
+    invertible, so this is V_h C(gamma) V_h^{-1} = C(h(gamma))."""
+    m = torus_rep(k).word_matrix(word)
+    lhs = mat_mul(m, curve_operator_torus(curve, k))
+    rhs = mat_mul(curve_operator_torus(act_on_curve(word, normalize_curve(*curve)), k), m)
     return mat_eq(lhs, rhs)

@@ -151,6 +151,18 @@ def test_turnbacks(ctx):
         assert all(v["cap"] and v["vertex"] for v in report.values())
 
 
+def test_turnbacks_by_direct_probes(ctx):
+    # reference for the factorized proof of turnback_kill(): probe every
+    # position of P_n itself
+    for n in (2, 3, 4):
+        p = cl.clasp_expand(n, "single", ctx)
+        direct = {i: {"cap": cl._annihilates(cl.cap_at(n, i), p, ctx, above=True),
+                      "vertex": cl._annihilates(cl.merge_at(n, i), p, ctx, above=True)}
+                  for i in range(n - 1)}
+        assert all(v["cap"] and v["vertex"] for v in direct.values()), n
+        assert cl.turnback_kill(n, ctx) == direct, n
+
+
 def test_idempotence(ctx):
     for n in (2, 3):
         assert cl.idempotent(n, ctx)

@@ -1,5 +1,6 @@
 """State spaces, Verlinde cross-checks and the torus representation."""
 
+import functools
 import gc
 import itertools
 import json
@@ -88,11 +89,30 @@ def test_modular_relation_on_torus_rep():
         phase = proportional(st3, s2)
         assert phase is not None and not phase.is_zero()
         # identity word acts as the identity
-        m, m_inv = rep.word_matrix(())
-        assert mat_eq(m, mat_identity(n, rep.md.order))
+        assert mat_eq(rep.word_matrix(()), mat_identity(n, rep.md.order))
         # twist is diagonal with the twist eigenvalues
         for i in range(n):
             assert rep.t[i][i] == rep.md.t_diag[i]
+
+
+def test_word_matrix_is_the_dense_product_and_unitary_up_to_scale():
+    # the column-scaled twist against dense products from the identity, and
+    # M M+ = s_norm_sq^#s, the fact that stands in for stored inverses
+    for k in (1, 2):
+        rep = torus_rep(k)
+        n, order = len(rep.md.simples), rep.md.order
+        for length in range(5):
+            for word in itertools.product("st", repeat=length):
+                m = rep.word_matrix(word)
+                dense = functools.reduce(
+                    mat_mul, (rep.s if g == "s" else rep.t for g in word),
+                    mat_identity(n, order))
+                assert mat_eq(m, dense), (k, word)
+                m_dag = [[x.conj() for x in col] for col in zip(*m)]
+                scale = rep.md.s_norm_sq ** word.count("s")
+                assert mat_eq(mat_mul(m, m_dag),
+                              [[x * scale for x in row]
+                               for row in mat_identity(n, order)]), (k, word)
 
 
 def test_curve_normalization_and_action():
@@ -115,6 +135,18 @@ def test_curve_operator_unit_entry():
             for j in range(n):
                 if i != j:
                     assert cm[i][j].is_zero()
+
+
+def test_longitude_operator_is_fusion_with_the_fundamental():
+    # Verlinde: S D S^-1 is the fusion matrix of (1,0), checked against
+    # Kac-Walton fusion entry by entry
+    for k in (1, 2, 3, 4):
+        md = torus_rep(k).md
+        op = curve_operator_torus("longitude", k)
+        for i, lam in enumerate(md.simples):
+            fd = cat.fusion_dict((1, 0), lam, level=k)
+            for j, mu in enumerate(md.simples):
+                assert op[i][j] == fd.get(mu, 0), (k, lam, mu)
 
 
 def test_twist_fixes_meridian_operator():
