@@ -269,7 +269,9 @@ def fusion_dict(lam, mu, level=None) -> dict:
 
 
 def triple_multiplicity(lam, mu, nu, level=None) -> int:
-    """Dimension of the invariant space of lam (x) mu (x) nu (all self-dual)."""
+    """Dimension of the invariant space of lam (x) mu (x) nu (all self-dual),
+    generic or at a level by Kac-Walton fusion: the vertex-space oracle, asked
+    by certificates; ``tqft.statespace_dim`` reads the same ``fusion`` table."""
     return fusion_dict(lam, mu, level).get(check_weight(nu), 0)
 
 

@@ -500,30 +500,6 @@ def theta_at(a: int, b: int, c: int, order: int,
     return specialize(theta_net(a, b, c, ctx), order)
 
 
-def triple_space_dim(a: int, b: int, c: int, q_order=None) -> int:
-    """Dimension (0 or 1) of the invariant space of three single-type clasps.
-
-    Generic q: 1 iff the triple is admissible (even sum and triangle
-    inequalities).  At a root of unity of the given order: additionally the
-    order must exceed 2(a+b+c)+4, strictly.  This ``q_order`` answer is the
-    hand threshold; it means something only where P_a, P_b and P_c exist
-    (see ``clasp_poles``).  It differs from ``cat.triple_multiplicity`` at
-    the level k with order 4k+12 when a+b+c = 2k+2, e.g. (2,2,2) at order 20,
-    where Kac-Walton fusion and the specialized theta give 0.  No detection
-    certificate uses it: ``faithful`` asks ``cat.triple_multiplicity``.
-    """
-    for x in (a, b, c):
-        if x < 0:
-            raise ValueError("labels must be nonnegative")
-    admissible = ((a + b + c) % 2 == 0 and a + b >= c and a + c >= b
-                  and b + c >= a)
-    if not admissible:
-        return 0
-    if q_order is not None and q_order <= 2 * (a + b + c) + 4:
-        return 0
-    return 1
-
-
 def braid_web(word, n: int):
     """Braid word as a web: entries are nonzero signed generator indices,
     +i crossing strands (i, i+1) positively, 1-indexed."""

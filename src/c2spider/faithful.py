@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .cat import q_order, simples, triple_multiplicity, twist_exponent
+from .cat import is_simple_at, q_order, simples, triple_multiplicity, twist_exponent
 from .tqft import Spine
 
 
@@ -143,20 +143,21 @@ def min_level(walk: CurveWalk) -> int:
 
 @dataclass
 class Certificate:
+    """The detection argument for a walk at a level: labels, vertex triples
+    with nonzero Kac-Walton spaces, notes and the optional vertex thetas."""
     spine: Spine
     walk: CurveWalk
     level: int
     edge_labels: dict
     vertex_triples: list     # (vertex, (pe, pf, pg)), each space nonzero
     complexity_m: int
-    order_condition: str
     conclusion: str
     notes: list = field(default_factory=list)
     numeric_checks: list = field(default_factory=list)
 
     def to_json(self):
         return {
-            "schema": "c2spider/certificate/2",
+            "schema": "c2spider/certificate/3",
             "spine": self.spine.to_json(),
             "walk": self.walk.to_json(),
             "level": self.level,
@@ -165,7 +166,6 @@ class Certificate:
             "vertex_triples": [{"vertex": v, "triple": list(t)}
                                for v, t in self.vertex_triples],
             "complexity": self.complexity_m,
-            "order_condition": self.order_condition,
             "conclusion": self.conclusion,
             "notes": self.notes,
             "numeric_checks": self.numeric_checks,
@@ -177,10 +177,10 @@ def certify_detection(walk: CurveWalk, k: int, numeric: bool = False,
     """Run the detection argument at level k and emit the certificate.
 
     Checks, in order: the walk is a graph geodesic; every edge label (p_e, 0)
-    is simple at level k; every vertex triple spans a nonzero invariant space
-    at level k by Kac-Walton fusion.  The conclusion records why the
-    comparison coefficient is nonzero: the identity tangle on each edge
-    factors with the top clasp appearing once, each vertex space is
+    is simple at level k (``cat.is_simple_at``); every vertex triple spans a
+    nonzero invariant space at level k by Kac-Walton fusion.  The conclusion
+    records why the comparison coefficient is nonzero: the identity tangle on
+    each edge factors with the top clasp appearing once, each vertex space is
     one-dimensional and nonvanishing at this level, and braidings contribute
     only nonzero scalars, so the state vector of the pushed-in curve is not
     proportional to the empty labeling.  With ``numeric`` the theta of every
@@ -191,9 +191,8 @@ def certify_detection(walk: CurveWalk, k: int, numeric: bool = False,
         raise ValueError("level must be at least 1")
     p, m = complexity(walk)
     labels = {e: (p[e], 0) for e in sorted(p)}
-    order = q_order(k)
     for e, (pe, _) in labels.items():
-        if pe > k:
+        if not is_simple_at((pe, 0), k):
             raise LevelTooSmall(
                 "edge-label", f"edge {e} carries ({pe},0) but {pe} > k = {k}")
     triples = _vertex_triples(walk, p)
@@ -222,19 +221,16 @@ def certify_detection(walk: CurveWalk, k: int, numeric: bool = False,
         ctx = ctx or default_context()
         for v, t in enumerate(triples):
             if sum(t):
-                nonzero = not theta_at(*t, order, ctx).is_zero()
+                nonzero = not theta_at(*t, q_order(k), ctx).is_zero()
                 numeric_checks.append({"vertex": v, "triple": list(t),
                                        "theta_nonzero": nonzero})
                 if not nonzero:
                     raise LevelTooSmall("numeric-theta",
                                         f"vertex {v} triangle evaluates to zero")
-    cert = Certificate(
+    return Certificate(
         spine=walk.spine, walk=walk, level=k, edge_labels=labels,
-        vertex_triples=list(enumerate(triples)),
-        complexity_m=m,
-        order_condition=f"4k+12 = {order} > 2m+4 = {2 * m + 4}",
+        vertex_triples=list(enumerate(triples)), complexity_m=m,
         conclusion="detected", notes=notes, numeric_checks=numeric_checks)
-    return cert
 
 
 # -- the torus experiment ----------------------------------------------------------

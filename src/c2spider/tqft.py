@@ -113,7 +113,11 @@ class Spine:
 
 def statespace_dim(spine: Spine, k: int) -> int:
     """Number of admissible labelings, counted with vertex fusion
-    multiplicities; a partial labeling is dropped at its first empty vertex."""
+    multiplicities; a partial labeling is dropped at its first empty vertex.
+    The vertex factor is the level-k ``cat.fusion`` table that
+    ``cat.triple_multiplicity`` reads, kept inline on purpose: one table per
+    label pair serves every vertex (a call per vertex was about 3x slower on
+    random genus-2 and genus-3 spines at k <= 3)."""
     spine.validate()
     objs = simples(k)
     if spine.circle:
@@ -174,10 +178,6 @@ def mat_scale_columns(a, diag):
     return [[x * d for x, d in zip(row, diag)] for row in a]
 
 
-def mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def mat_identity(n, order):
     return [[CycNumber.one(order) if i == j else CycNumber.zero(order)
              for j in range(n)] for i in range(n)]
@@ -221,16 +221,24 @@ class TorusRep:
     def word_matrix(self, word):
         """Matrix of a word in {'s', 't'}, read as a composition: the
         rightmost letter acts first.  An 's' multiplies by S; a 't' scales
-        the columns by the twist eigenvalues."""
-        m = None
+        the columns by the twist eigenvalues, or the rows if no 's' precedes
+        it, so no product has a diagonal operand."""
+        m, lead = None, 0       # lead: the twists before the first 's'
         for g in word:
-            if g == "s":
-                m = self.s if m is None else mat_mul(m, self.s)
+            if g == "t" and m is None:
+                lead += 1
             elif g == "t":
-                m = self.t if m is None else mat_scale_columns(m, self.md.t_diag)
+                m = mat_scale_columns(m, self.md.t_diag)
+            elif g == "s":
+                m = self.s if m is None else mat_mul(m, self.s)
             else:
                 raise ValueError(f"unknown torus generator {g!r}")
-        return mat_identity(len(self.md.simples), self.md.order) if m is None else m
+        if m is None:
+            m = mat_identity(len(self.md.simples), self.md.order)
+        if lead:    # T^lead on the left scales the rows
+            powers = [t ** lead for t in self.md.t_diag]
+            m = [[p * x for x in row] for p, row in zip(powers, m)]
+        return m
 
 
 @lru_cache(maxsize=None)
@@ -293,12 +301,18 @@ def _word_reaching(curve, limit=12):
     raise ValueError(f"curve {curve} not reached within word length {limit}")
 
 
+def _meridian_eigenvalues(md: ModularData) -> list:
+    """The fundamental character values S~_{(1,0) lambda} / S~_{(0,0) lambda}."""
+    row = md.s_tilde[md.index((1, 0))]
+    return [x * inv for x, inv in zip(row, md.vacuum_inv)]
+
+
 def curve_operator_torus(curve, k: int):
     """Exact curve operator on the torus state space.
 
-    The meridian operator is diagonal with entries S~_{(1,0) lambda} /
-    S~_{(0,0) lambda} (the fundamental character values); a general primitive
-    class is reached by conjugating with a canonical mapping-class word.
+    The meridian operator is diagonal with the fundamental character values
+    (``_meridian_eigenvalues``); a general primitive class is reached by
+    conjugating with a canonical mapping-class word.
     """
     if curve == "meridian":
         curve = MERIDIAN
@@ -307,23 +321,30 @@ def curve_operator_torus(curve, k: int):
     curve = normalize_curve(*curve)
     rep = torus_rep(k)
     md = rep.md
-    n = len(md.simples)
-    v_index = md.index((1, 0))
     word = _word_reaching(curve)
     # M^-1 = s_norm_sq^-#s M+: the scalar joins the diagonal
     scale = md.s_norm_sq ** -word.count("s")
-    diag = [md.s_tilde[v_index][i] * md.vacuum_inv[i] * scale for i in range(n)]
+    diag = [d * scale for d in _meridian_eigenvalues(md)]
     if not word:
-        return mat_scale_columns(mat_identity(n, md.order), diag)
+        return mat_scale_columns(mat_identity(len(md.simples), md.order), diag)
     m = rep.word_matrix(word)
     return mat_mul(mat_scale_columns(m, diag),
                    [[x.conj() for x in col] for col in zip(*m)])
 
 
 def conjugation_identity_holds(word, curve, k: int) -> bool:
-    """Check V_h C(gamma) = C(h(gamma)) V_h exactly on the torus; V_h is
-    invertible, so this is V_h C(gamma) V_h^{-1} = C(h(gamma))."""
-    m = torus_rep(k).word_matrix(word)
-    lhs = mat_mul(m, curve_operator_torus(curve, k))
-    rhs = mat_mul(curve_operator_torus(act_on_curve(word, normalize_curve(*curve)), k), m)
-    return mat_eq(lhs, rhs)
+    """Check V_h C(gamma) V_h^-1 = C(h(gamma)) exactly, in the meridian
+    eigenbasis: C(gamma) = W D W^-1 with W the matrix of the word reaching
+    gamma and D the meridian eigenvalues d_i, and W^-1 is W+ up to a nonzero
+    scalar, so the identity holds iff X = W_{h gamma}+ V_h W_gamma, where
+    V_h W_gamma is the concatenated word, has X_ij = 0 wherever d_i != d_j."""
+    rep = torus_rep(k)
+    curve = normalize_curve(*curve)
+    x = rep.word_matrix(tuple(word) + _word_reaching(curve))
+    target = _word_reaching(act_on_curve(word, curve))
+    if target:      # a shortest nonempty word ends in 's': W is not diagonal
+        w = rep.word_matrix(target)
+        x = mat_mul([[v.conj() for v in col] for col in zip(*w)], x)
+    d = _meridian_eigenvalues(rep.md)
+    return all(x[i][j].is_zero() for i, di in enumerate(d)
+               for j, dj in enumerate(d) if di != dj)

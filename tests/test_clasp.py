@@ -219,18 +219,6 @@ def test_theta_symmetry(ctx):
     assert not a.is_zero()
 
 
-def test_triple_space_dim():
-    assert cl.triple_space_dim(2, 2, 2) == 1
-    assert cl.triple_space_dim(4, 1, 1) == 0
-    assert cl.triple_space_dim(1, 1, 1) == 0
-    assert cl.triple_space_dim(2, 2, 2, q_order=16) == 0
-    assert cl.triple_space_dim(2, 2, 2, q_order=20) == 1
-    # the threshold 2(a+b+c)+4 is strict
-    for order in range(12, 25):
-        want = 1 if order > 16 else 0
-        assert cl.triple_space_dim(2, 2, 2, q_order=order) == want
-
-
 def test_clasp_poles():
     # P_0 and P_1 are identities: nothing to divide by
     assert cl.clasp_poles(0) == frozenset()

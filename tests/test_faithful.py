@@ -55,7 +55,7 @@ def test_doubling_doubles():
 
 
 def test_min_level_arithmetic():
-    # m = 2, max p = 1: order condition holds for every level, simples win
+    # m = 2, max p = 1: both vertex spaces are nonzero at level 1
     assert ff.min_level(theta_walk()) == 1
     # m = 4, max p = 2 -> level 2;  m = 10, max p = 4 -> level 4
     db = Spine.dumbbell()
@@ -73,9 +73,8 @@ def test_min_level_arithmetic():
 def test_certify_theta_at_level_one():
     cert = ff.certify_detection(theta_walk(), 1)
     assert cert.conclusion == "detected"
-    assert cert.order_condition == "4k+12 = 16 > 2m+4 = 8"
     data = cert.to_json()
-    assert data["schema"] == "c2spider/certificate/2"
+    assert data["schema"] == "c2spider/certificate/3"
     assert data["conclusion"] == "detected"
     assert len(data["vertex_triples"]) == 2
     assert all(set(t) == {"vertex", "triple"} for t in data["vertex_triples"])

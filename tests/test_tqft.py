@@ -9,7 +9,7 @@ import pytest
 
 from c2spider import cat, tqft
 from c2spider.tqft import (Spine, curve_operator_torus, mat_identity, mat_mul,
-                           mat_eq, normalize_curve, proportional, torus_rep)
+                           normalize_curve, proportional, torus_rep)
 
 
 def test_spine_validation():
@@ -89,7 +89,7 @@ def test_modular_relation_on_torus_rep():
         phase = proportional(st3, s2)
         assert phase is not None and not phase.is_zero()
         # identity word acts as the identity
-        assert mat_eq(rep.word_matrix(()), mat_identity(n, rep.md.order))
+        assert rep.word_matrix(()) == mat_identity(n, rep.md.order)
         # twist is diagonal with the twist eigenvalues
         for i in range(n):
             assert rep.t[i][i] == rep.md.t_diag[i]
@@ -107,12 +107,11 @@ def test_word_matrix_is_the_dense_product_and_unitary_up_to_scale():
                 dense = functools.reduce(
                     mat_mul, (rep.s if g == "s" else rep.t for g in word),
                     mat_identity(n, order))
-                assert mat_eq(m, dense), (k, word)
+                assert m == dense, (k, word)
                 m_dag = [[x.conj() for x in col] for col in zip(*m)]
                 scale = rep.md.s_norm_sq ** word.count("s")
-                assert mat_eq(mat_mul(m, m_dag),
-                              [[x * scale for x in row]
-                               for row in mat_identity(n, order)]), (k, word)
+                assert mat_mul(m, m_dag) == [[x * scale for x in row]
+                                             for row in mat_identity(n, order)], (k, word)
 
 
 def test_curve_normalization_and_action():
@@ -154,10 +153,29 @@ def test_twist_fixes_meridian_operator():
         assert tqft.conjugation_identity_holds(("t",), (1, 0), k)
 
 
-def test_conjugation_identity_words_up_to_three():
+def test_conjugation_identity_words_up_to_three(monkeypatch):
+    # the eigenbasis check against the dense V_h C(gamma) = C(h gamma) V_h,
+    # for the true image curve and, with act_on_curve patched, every wrong one
+    curves = ((1, 0), (0, 1), (1, 1), (1, 2))
+    for curve in curves:    # the words reaching every target, found unpatched
+        tqft._word_reaching(curve)
+    refuted = 0
     for k in (1, 2):
         for length in range(4):
             for word in itertools.product("st", repeat=length):
-                for curve in ((1, 0), (0, 1)):
+                m = torus_rep(k).word_matrix(word)
+                for curve in curves:
+                    lhs = mat_mul(m, curve_operator_torus(curve, k))
+                    image = tqft.act_on_curve(word, curve)
+                    assert lhs == mat_mul(curve_operator_torus(image, k), m)
                     assert tqft.conjugation_identity_holds(word, curve, k), \
                         (k, word, curve)
+                    for target in curves:
+                        reference = lhs == mat_mul(curve_operator_torus(target, k), m)
+                        monkeypatch.setattr(tqft, "act_on_curve",
+                                            lambda w, c, target=target: target)
+                        assert tqft.conjugation_identity_holds(word, curve, k) \
+                            == reference, (k, word, curve, target)
+                        monkeypatch.undo()
+                        refuted += not reference
+    assert refuted == 411
