@@ -319,6 +319,14 @@ class ModularData:
             raise NonIntegerResult("vanishing vacuum column in the S-matrix")
         return [x.inverse() for x in row]
 
+    @cached_property
+    def verlinde_rows(self) -> list:
+        """Row nu holds conj(S~[nu][i]) * vacuum_inv[i] / s_norm_sq, the
+        factors of the Verlinde sum that do not depend on lam and mu."""
+        scale = self.s_norm_sq.inverse()
+        weights = [inv * scale for inv in self.vacuum_inv]
+        return [[z.conj() * w for z, w in zip(row, weights)] for row in self.s_tilde]
+
 
 @lru_cache(maxsize=None)
 def modular_data(k: int) -> ModularData:
@@ -356,11 +364,9 @@ def modular_data(k: int) -> ModularData:
 
 def verlinde_multiplicity(md: ModularData, lam, mu, nu) -> int:
     """Fusion multiplicity from the Verlinde formula, exactly."""
-    si, sj, sl = (md.s_tilde[md.index(w)] for w in (lam, mu, nu))
-    acc = cyc_dot([x * y for x, y in zip(si, sj)],
-                  [z.conj() * inv for z, inv in zip(sl, md.vacuum_inv)])
-    val = acc / md.s_norm_sq
-    r = val.as_rational()
+    si, sj = (md.s_tilde[md.index(w)] for w in (lam, mu))
+    acc = cyc_dot([x * y for x, y in zip(si, sj)], md.verlinde_rows[md.index(nu)])
+    r = acc.as_rational()
     if r.denominator != 1 or r < 0:
         raise NonIntegerResult(f"Verlinde number {r} is not a nonnegative integer")
     return int(r)

@@ -19,7 +19,7 @@ from c2spider import web as wb
 from c2spider.cache import ClaspCache
 from c2spider.ring import DenominatorVanishes, RationalFunction as RF, specialize
 from c2spider.rules import default_table
-from c2spider.tqft import Spine, mat_identity, mat_mul, proportional
+from c2spider.tqft import Spine, mat_identity, mat_mul, mat_scale_columns, proportional
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +133,8 @@ def test_criterion_6_modularity_and_verlinde():
         s2 = mat_mul(md.s_tilde, md.s_tilde)
         assert proportional(s2, mat_identity(n, md.order)) is not None
         rep = tqft.torus_rep(k)
-        st = mat_mul(rep.s, rep.t)
+        t = mat_scale_columns(mat_identity(n, md.order), md.t_diag)
+        st = mat_mul(rep.s, t)
         st3 = mat_mul(st, mat_mul(st, st))
         phase = proportional(st3, s2)
         assert phase is not None and not phase.is_zero()

@@ -1,10 +1,11 @@
 """Command-line surface: schemas, determinism, exit codes."""
 
 import json
+import random
 
 import pytest
 
-from c2spider import cli
+from c2spider import cli, faithful
 from c2spider import clasp as cl
 from c2spider import engine as eng
 from c2spider import web as wb
@@ -118,6 +119,17 @@ def test_tqft_cli(capsys, tmp_path):
     code, out, _ = run(capsys, "tqft", "torus", "--level", "1")
     data = json.loads(out)
     assert len(data["twist"]) == 3
+
+
+def test_tqft_dim_cli_genus_four_at_level_three(capsys, tmp_path):
+    spine = faithful.random_spine(4, random.Random(0))
+    spine_path = tmp_path / "genus4.json"
+    spine_path.write_text(json.dumps(spine.to_json()))
+    code, out, _ = run(capsys, "tqft", "dim", "--spine", str(spine_path),
+                       "--level", "3", "--verlinde")
+    data = json.loads(out)
+    assert code == 0 and data["genus"] == 4
+    assert data["dimension"] == data["verlinde"] == 1_446_400
 
 
 def test_faithful_cli(capsys, tmp_path):

@@ -4,12 +4,55 @@ import functools
 import gc
 import itertools
 import json
+import random
+import time
 
 import pytest
 
-from c2spider import cat, tqft
+from c2spider import cat, faithful, tqft
 from c2spider.tqft import (Spine, curve_operator_torus, mat_identity, mat_mul,
-                           normalize_curve, proportional, torus_rep)
+                           mat_scale_columns, normalize_curve, proportional,
+                           torus_rep)
+
+
+def _enumerated_dim(spine, k):
+    """Reference count: every labeling edge by edge, a partial labeling
+    dropped at its first empty vertex (the vertex factor is the level-k
+    ``cat.fusion`` table, one per label pair)."""
+    spine.validate()
+    objs = cat.simples(k)
+    if spine.circle:
+        return len(objs)
+    n_edges = len(spine.edges)
+    closes = [[] for _ in range(n_edges)]   # edge triples of the vertices e completes
+    for ends in spine.vertex_edge_ends():
+        closes[max(ends)].append(ends)
+    fusions = {}      # (lam, mu) -> {nu: multiplicity} at level k
+    total = 0
+    stack = [(0, 1, ())]    # (next edge, product of closed vertices, labels so far)
+    while stack:
+        edge, prod, labels = stack.pop()
+        if edge == n_edges:
+            total += prod
+            continue
+        for w in objs:
+            labeling = labels + (w,)
+            factor = prod
+            for e1, e2, e3 in closes[edge]:
+                pair = (labeling[e1], labeling[e2])
+                table = fusions.get(pair)
+                if table is None:
+                    table = fusions[pair] = cat.fusion_dict(*pair, level=k)
+                factor *= table.get(labeling[e3], 0)
+                if not factor:
+                    break
+            if factor:
+                stack.append((edge + 1, factor, labeling))
+    return total
+
+
+def _dense_twist(md):
+    return mat_scale_columns(mat_identity(len(md.simples), md.order), md.t_diag)
 
 
 def test_spine_validation():
@@ -49,6 +92,47 @@ def test_genus_two_basis_independence_and_verlinde():
         assert th == db == vd
 
 
+def test_statespace_dim_equals_enumeration_on_random_spines():
+    rng = random.Random(19)
+    cases = [(g, k) for g in (2, 3) for k in (1, 2, 3)] + [(4, 1), (4, 2)]
+    for genus, k in cases:
+        for _ in range(3):
+            spine = faithful.random_spine(genus, rng)
+            assert tqft.statespace_dim(spine, k) == _enumerated_dim(spine, k), \
+                (spine, k)
+
+
+def test_statespace_dim_unchanged_under_vertex_relabeling():
+    rng = random.Random(7)
+    for genus in (2, 3, 4):
+        for k in (1, 2, 3):
+            spine = faithful.random_spine(genus, rng)
+            perm = list(range(spine.n_vertices))
+            rng.shuffle(perm)
+            relabeled = Spine(spine.n_vertices,
+                              tuple((perm[u], perm[v]) for u, v in spine.edges))
+            assert tqft.statespace_dim(relabeled, k) == \
+                tqft.statespace_dim(spine, k), (spine, perm, k)
+
+
+def test_statespace_dim_equals_verlinde_at_higher_genus():
+    rng = random.Random(4)
+    for genus in (4, 5, 6):
+        spine = faithful.random_spine(genus, rng)
+        for k in (1, 2, 3):
+            assert tqft.statespace_dim(spine, k) == tqft.verlinde_dim(genus, k), \
+                (spine, k)
+
+
+def test_genus_four_at_level_three_counts_fast():
+    spine = faithful.random_spine(4, random.Random(0))
+    tqft.statespace_dim(Spine.theta_graph(), 3)     # level-3 tables built
+    t0 = time.perf_counter()
+    dim = tqft.statespace_dim(spine, 3)
+    assert time.perf_counter() - t0 < 0.1
+    assert dim == tqft.verlinde_dim(4, 3) == 1_446_400
+
+
 def test_statespace_dim_leaves_no_reference_cycles():
     spines = (Spine.theta_graph(), Spine.dumbbell())
     for k in (1, 2, 3):     # fill the fusion caches first
@@ -83,16 +167,16 @@ def test_modular_relation_on_torus_rep():
     for k in (1, 2):
         rep = torus_rep(k)
         n = len(rep.md.simples)
-        st = mat_mul(rep.s, rep.t)
+        t = _dense_twist(rep.md)
+        st = mat_mul(rep.s, t)
         st3 = mat_mul(st, mat_mul(st, st))
         s2 = mat_mul(rep.s, rep.s)
         phase = proportional(st3, s2)
         assert phase is not None and not phase.is_zero()
         # identity word acts as the identity
         assert rep.word_matrix(()) == mat_identity(n, rep.md.order)
-        # twist is diagonal with the twist eigenvalues
-        for i in range(n):
-            assert rep.t[i][i] == rep.md.t_diag[i]
+        # the twist word is diagonal with the twist eigenvalues
+        assert rep.word_matrix(("t",)) == t
 
 
 def test_word_matrix_is_the_dense_product_and_unitary_up_to_scale():
@@ -101,11 +185,12 @@ def test_word_matrix_is_the_dense_product_and_unitary_up_to_scale():
     for k in (1, 2):
         rep = torus_rep(k)
         n, order = len(rep.md.simples), rep.md.order
+        t = _dense_twist(rep.md)
         for length in range(5):
             for word in itertools.product("st", repeat=length):
                 m = rep.word_matrix(word)
                 dense = functools.reduce(
-                    mat_mul, (rep.s if g == "s" else rep.t for g in word),
+                    mat_mul, (rep.s if g == "s" else t for g in word),
                     mat_identity(n, order))
                 assert m == dense, (k, word)
                 m_dag = [[x.conj() for x in col] for col in zip(*m)]
