@@ -17,8 +17,9 @@ import time
 
 ENV_VAR = "C2SPIDER_CACHE"
 # every key the current clasp expansion path writes starts with this; earlier
-# versions wrote other sums of the same P_n under "clasp-{kind}-{n}"
-KEY_PREFIX = "clasp-box-"
+# versions wrote other sums of the same P_n under "clasp-{kind}-{n}", and the
+# same sums with other representative webs under "clasp-box-{kind}-{n}"
+KEY_PREFIX = "clasp-merged-"
 
 
 def default_cache_dir():

@@ -15,6 +15,13 @@ relations.  Definiteness up to that sign persists for real q near 1, and a
 nonzero element of the skein module stays nonzero at all but finitely many
 such q, so a linear combination vanishes in the skein module exactly when
 its self-pairing is the zero rational function.
+
+The self-pairing plugs each unordered pair of terms once.  That needs
+eval(mirror(W)) == eval(W) for closed webs W: plug(mirror(b), a) is the
+mirror image of plug(mirror(a), b), so <a, b> == <b, a>.  It holds because
+``mirror`` reflects the plane and also swaps over and under at crossings,
+which together are a half-turn of space about a line in the plane.
+tests/test_web.py checks it on random closed webs and on braid closures.
 """
 
 from __future__ import annotations
@@ -534,15 +541,26 @@ def to_mini(diagram: Web):
 def pair_closed(x: WebSum, y: WebSum, table: RuleTable = None,
                 budget: int = 10 ** 6) -> RationalFunction:
     """Closed pairing <x, y>: glue mirror(x) against y and evaluate.  The
-    products c1 c2 <w1, w2> are summed unreduced and normalized once."""
+    products c1 c2 <w1, w2> are summed unreduced and normalized once.
+
+    The self-pairing <x, x> plugs each unordered pair of terms once and
+    counts an off-diagonal product twice, by the symmetry stated in the
+    module docstring.
+    """
     table = table or default_table()
+    if y is x:
+        terms = list(x)
+        mirrored = [mirror(w) for _, w in terms]
+        pairs = ((1 if i == j else 2, terms[i][0], mirrored[i], *terms[j])
+                 for i in range(len(terms)) for j in range(i, len(terms)))
+    else:
+        pairs = ((1, c1, w1, c2, w2) for c1, w1 in sum_mirror(x) for c2, w2 in y)
 
     def products():
-        for c1, w1 in sum_mirror(x):
-            for c2, w2 in y:
-                v = eval_closed(plug(w1, w2), table, budget)
-                if not v.is_zero():
-                    yield c1.num * c2.num * v.num, c1.den * c2.den * v.den
+        for k, c1, w1, c2, w2 in pairs:
+            v = eval_closed(plug(w1, w2), table, budget)
+            if not v.is_zero():
+                yield k * c1.num * c2.num * v.num, c1.den * c2.den * v.den
 
     return _sum_fractions(products())
 

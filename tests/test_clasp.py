@@ -93,6 +93,60 @@ def test_expansion_equals_the_flat_recursion(ctx):
                               table=ctx.table), n
 
 
+def _worklist_expand_boxes(web, ctx):
+    """Reference for expand_boxes: a plain stack that expands every web it
+    reaches, as often as it reaches it."""
+    out = eng.WebSum()
+    stack = [(RF.coerce(1), web)]
+    while stack:
+        coeff, w = stack.pop()
+        w = cl._settle(w)
+        if w is None:
+            continue
+        if not cl._box_positions(w):
+            out.add(coeff, w)
+            continue
+        stack.extend((coeff * c, w2) for c, w2 in cl._expand_one_box(w, ctx, 10 ** 6))
+    return out
+
+
+def _coefficients(ws):
+    return {k: c for k, (c, _) in ws.terms.items()}
+
+
+def test_merged_expansion_equals_the_worklist(ctx):
+    # the same keys with the same coefficients, term by term
+    for n in (2, 3, 4):
+        box = wb.clasp_box_web(n)
+        assert _coefficients(cl.expand_boxes(box, ctx)) == \
+            _coefficients(_worklist_expand_boxes(box, ctx)), n
+
+
+def test_merged_expansion_expands_each_distinct_web_once(ctx, monkeypatch):
+    keys = []
+    expand = cl._expand_one_box
+
+    def spy(web, *args, **kwargs):
+        keys.append(web.canonical_key())
+        return expand(web, *args, **kwargs)
+
+    monkeypatch.setattr(cl, "_expand_one_box", spy)
+    for n, steps in ((3, 9), (4, 96)):
+        keys.clear()
+        cl.expand_boxes(wb.clasp_box_web(n), ctx)
+        assert len(keys) == len(set(keys)) == steps, n
+
+
+@pytest.mark.slow
+def test_merged_expansion_of_p5_equals_the_worklist_in_the_skein(ctx):
+    # about 12 s on a 2-core host, most of it the worklist; run with -m slow.
+    # A box picked among equals by vertex id can differ between the two, so
+    # the sums may differ by an exact zero
+    box = wb.clasp_box_web(5)
+    diff = cl.expand_boxes(box, ctx) - _worklist_expand_boxes(box, ctx)
+    assert eng.sum_is_zero(diff, table=ctx.table)
+
+
 def _solve_recursion_coefficients(n, ctx):
     """Oracle for the closed form: solve the two annihilation conditions.
 
@@ -579,7 +633,7 @@ def test_p3_cache_payload_bytes(tmp_path):
     with open(ctx.cache._path(ctx._key(3, "single")), "rb") as fh:
         payload = fh.read()
     assert hashlib.sha256(payload).hexdigest() == \
-        "4f2599b0ed3a7b82b65b20534e69496e3be9461044198a4c40cce6f25672f67c"
+        "5c35ea635dbe0cc8de11e27b155fc83d2fa5e1e3a3dcb8b3b8b6a9f82663d781"
 
 
 def _cache_payload_digest(tmp_path, n):
@@ -599,23 +653,25 @@ def test_p2_cache_payload_bytes(tmp_path):
 
 def test_p4_cache_payload_bytes(tmp_path):
     assert _cache_payload_digest(tmp_path, 4) == \
-        "7b1b2df7d768dbbc36000f8ee612a773b2b527fa18ca8c8883e84b791fc522a0"
+        "2d4c78db4f0eac74c23ef765b5ed80bbe5aecce413abd9b2303ccad5ee75cb6c"
 
 
-@pytest.mark.slow
 def test_p5_cache_payload_bytes(tmp_path):
-    # about 13 s cold on a 2-core host; run with -m slow
+    # about 2 s cold on a 2-core host
     assert _cache_payload_digest(tmp_path, 5) == \
-        "4baf1ac0faef6dfcd4cdd6d0e9570fda45a4b9722af3a51fc9508f6a6fd3e3d3"
+        "1e467d7d00eebb2546703a38f1b0f1a8ca9bff74c2c5008cca2aac59c98e589f"
 
 
 def test_cache_files_of_earlier_versions_are_not_read(tmp_path):
-    # earlier versions wrote another sum for the same P_n under this name;
-    # a payload planted there, here a wrong one, is never read
+    # earlier versions wrote the same P_n, as another sum or with other
+    # representative webs, under these names; a payload planted there, here
+    # a wrong one, is never read
     table = default_table()
     ctx = cl.ClaspContext(table, ClaspCache(root=str(tmp_path / "cache"),
                                             table_hash=table.table_hash()))
-    ctx.cache.put("clasp-single-3", cl._websum_to_json(eng.WebSum.from_web(cl._id(3))))
+    wrong = cl._websum_to_json(eng.WebSum.from_web(cl._id(3)))
+    ctx.cache.put("clasp-single-3", wrong)
+    ctx.cache.put("clasp-box-single-3", wrong)
     cl._MEMO.pop((table.table_hash(), "single", 3), None)
     p3 = cl.clasp_expand(3, "single", ctx)
     assert len(p3) == 15
@@ -624,7 +680,7 @@ def test_cache_files_of_earlier_versions_are_not_read(tmp_path):
 
 @pytest.mark.slow
 def test_turnbacks_p5(ctx):
-    # about three minutes on a 2-core host; run with -m slow
+    # about 45 s on a 2-core host; run with -m slow
     report = cl.turnback_kill(5, ctx)
     assert len(report) == 4
     assert all(v["cap"] and v["vertex"] for v in report.values())
@@ -632,7 +688,7 @@ def test_turnbacks_p5(ctx):
 
 @pytest.mark.slow
 def test_idempotence_p5(ctx):
-    # about a minute on a 2-core host; run with -m slow
+    # about 35 s on a 2-core host; run with -m slow
     assert cl.idempotent(5, ctx)
 
 
@@ -644,20 +700,50 @@ def _pair_termwise(x, y, table):
     return total
 
 
-def test_pair_closed_equals_termwise_sum(ctx):
-    p3 = cl.clasp_expand(3, "single", ctx)
-    capped = eng.reduce_sum(eng.sum_compose(eng.WebSum.from_web(cl.cap_at(3, 1)), p3),
+def _capped(n, i, ctx):
+    """cap_at(n, i) on P_n, reduced, and the same sum without its first term."""
+    p = cl.clasp_expand(n, "single", ctx)
+    capped = eng.reduce_sum(eng.sum_compose(eng.WebSum.from_web(cl.cap_at(n, i)), p),
                             table=ctx.table)
-    assert len(capped) == 4
-    # capped is zero in the skein module; without one term it is not
     part = eng.WebSum()
     for c, w in list(capped)[1:]:
         part.add(c, w)
+    return capped, part
+
+
+def _fields(f):
+    return f.num.num, f.num.den, f.den.num, f.den.den
+
+
+def test_pair_closed_equals_termwise_sum(ctx):
+    capped, part = _capped(3, 1, ctx)
+    assert len(capped) == 4
+    # capped is zero in the skein module; without one term it is not
     for x, y in ((capped, capped), (part, part), (part, capped), (capped, part)):
-        got = eng.pair_closed(x, y, ctx.table)
-        want = _pair_termwise(x, y, ctx.table)
-        assert (got.num.num, got.num.den, got.den.num, got.den.den) == \
-            (want.num.num, want.num.den, want.den.num, want.den.den)
+        assert _fields(eng.pair_closed(x, y, ctx.table)) == \
+            _fields(_pair_termwise(x, y, ctx.table))
+    assert eng.pair_closed(capped, capped, ctx.table).is_zero()
+    assert not eng.pair_closed(part, part, ctx.table).is_zero()
+
+
+def test_self_pairing_plugs_each_unordered_pair_once(ctx, monkeypatch):
+    # <x, x> plugs the 24 terms of the P_4 cap at position 1 in 300 pairs,
+    # not 576, and still equals the ordered termwise sum field for field
+    capped, part = _capped(4, 1, ctx)
+    assert len(capped) == 24
+    plugs = []
+    plug = eng.plug
+
+    def spy(a, b):
+        plugs.append(1)
+        return plug(a, b)
+
+    monkeypatch.setattr(eng, "plug", spy)
+    for x in (capped, part):
+        before = len(plugs)
+        got = eng.pair_closed(x, x, ctx.table)
+        assert len(plugs) - before == len(x) * (len(x) + 1) // 2
+        assert _fields(got) == _fields(_pair_termwise(x, x, ctx.table))
     assert eng.pair_closed(capped, capped, ctx.table).is_zero()
     assert not eng.pair_closed(part, part, ctx.table).is_zero()
 
@@ -678,12 +764,14 @@ def test_cache_gc_removes_keys_of_earlier_schemes(tmp_path):
     table = default_table()
     root = str(tmp_path / "cache")
     ctx = cl.ClaspContext(table, ClaspCache(root=root, table_hash=table.table_hash()))
-    assert ctx._key(3, "single") == "clasp-box-single-3"
+    assert ctx._key(3, "single") == "clasp-merged-single-3"
     ctx.cache.put("clasp-single-3", {"old": True})
-    ctx.cache.put("clasp-box-single-3", {"new": True})
-    assert cache_gc(root, table.table_hash()) == {"removed": 1, "kept": 1}
+    ctx.cache.put("clasp-box-single-3", {"old": True})
+    ctx.cache.put("clasp-merged-single-3", {"new": True})
+    assert cache_gc(root, table.table_hash()) == {"removed": 2, "kept": 1}
     assert ctx.cache.get("clasp-single-3") is None
-    assert ctx.cache.get("clasp-box-single-3") == {"new": True}
+    assert ctx.cache.get("clasp-box-single-3") is None
+    assert ctx.cache.get("clasp-merged-single-3") == {"new": True}
 
 
 def test_cache_roundtrip_and_gc(tmp_path):

@@ -214,6 +214,35 @@ def test_multiplicativity_random(seed=20260811):
         assert ab._ckey is None   # only its components are keyed
 
 
+def test_mirror_invariance_of_closed_values(tmp_path, seed=31):
+    """eval(mirror(W)) == eval(W), the symmetry that lets the self-pairing
+    plug each unordered pair of terms once."""
+    rng = random.Random(seed)
+    chiral = 0
+    for _ in range(400):
+        w = random_closed_web(rng, 14)
+        m = wb.mirror(w)
+        chiral += m.canonical_key() != w.canonical_key()
+        assert eval_closed(m) == eval_closed(w)
+    assert chiral >= 20
+    # mirror also swaps over and under, a half-turn of space: the closed
+    # braids keep their values, although sigma^3 and sigma^-3 differ
+    words = [[1, 1, 1], [1, -2, 1, -2], [1, 2, 1, 2, 2], [-1, 2, 2, -1, 2]]
+    for word in words:
+        w = wb.trace_closure(cl.braid_web(word, 3))
+        assert eval_closed(wb.mirror(w)) == eval_closed(w), word
+    trefoils = [wb.trace_closure(cl.braid_web([g] * 3, 2)) for g in (1, -1)]
+    assert eval_closed(trefoils[0]) != eval_closed(trefoils[1])
+    # plug(mirror(b), a) is the mirror image of plug(mirror(a), b)
+    ctx = cl.ClaspContext(TABLE, ClaspCache(root=str(tmp_path),
+                                            table_hash=TABLE.table_hash()))
+    p3 = [w for _, w in cl.clasp_expand(3, "single", ctx)]
+    for a in p3:
+        for b in p3:
+            assert wb.plug(wb.mirror(b), a).canonical_key() == \
+                wb.mirror(wb.plug(wb.mirror(a), b)).canonical_key()
+
+
 def test_confluence_500_random_webs(seed=702):
     """Reducing with different face-selection strategies gives one scalar."""
     rng = random.Random(seed)
