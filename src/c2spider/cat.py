@@ -18,7 +18,6 @@ weight system) and pushed to level k by the affine Kac-Walton folding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .ring import CycNumber, LaurentPoly, RationalFunction, cyc_dot, qint, specialize
@@ -72,19 +71,6 @@ def simples(k: int) -> list:
 def is_simple_at(w, k: int) -> bool:
     a, b = w
     return a >= 0 and b >= 0 and a + b <= k
-
-
-def dominates(x, y) -> bool:
-    """Partial order generated by (a,b) > (a-2, b+1) and (a,b) > (a+2, b-2);
-    equivalently x - y is a nonnegative integer combination of the simple
-    roots written in (a, b) coordinates."""
-    dx = x[0] - y[0]
-    dy = x[1] - y[1]
-    m = dx + dy          # alpha_1 coefficient
-    if dx % 2 != 0:
-        return False
-    n = dx // 2 + dy     # alpha_2 coefficient
-    return m >= 0 and n >= 0
 
 
 def classical_dim(w) -> int:

@@ -365,7 +365,7 @@ def _recursion_webs(n):
             (c1, sandwich(e_at(n, n - 2))), (c2, sandwich(g_at(n, n - 2)))]
 
 
-def _expand_one_box(web, ctx: ClaspContext, budget: int) -> WebSum:
+def _expand_one_box(web, ctx: ClaspContext) -> WebSum:
     """Expand one box of a settled web; the pieces are settled, the dead ones
     dropped before they are keyed, and the rest reduced with boxes kept.
 
@@ -392,7 +392,7 @@ def _expand_one_box(web, ctx: ClaspContext, budget: int) -> WebSum:
         piece = _settle(piece)
         if piece is not None:
             partial.add(c, piece)
-    return reduce_sum(partial, table=ctx.table, budget=budget, boxes_ok=True)
+    return reduce_sum(partial, table=ctx.table, boxes_ok=True)
 
 
 def _box_sizes(web):
@@ -400,7 +400,7 @@ def _box_sizes(web):
     return tuple(sorted((sum(web.vextra[v][:2]) for v in _box_positions(web)), reverse=True))
 
 
-def expand_boxes(ws, ctx: ClaspContext = None, budget: int = 10 ** 6) -> WebSum:
+def expand_boxes(ws, ctx: ClaspContext = None) -> WebSum:
     """Replace every clasp box of an open sum by its expansion; the result
     is a sum of plain webs.
 
@@ -433,12 +433,12 @@ def expand_boxes(ws, ctx: ClaspContext = None, budget: int = 10 ** 6) -> WebSum:
         layer = pending.pop(max(pending)).terms
         for key in sorted(layer):
             coeff, web = layer.pop(key)   # let go of each web once expanded
-            for c, w in _expand_one_box(web, ctx, budget):
+            for c, w in _expand_one_box(web, ctx):
                 push(coeff * c, w)
     return out
 
 
-def eval_box_web(w, ctx: ClaspContext = None, budget: int = 10 ** 6) -> RationalFunction:
+def eval_box_web(w, ctx: ClaspContext = None) -> RationalFunction:
     """Value of a closed web: without boxes by ``eval_closed``, else by one
     ``_expand_one_box`` step and the values of its pieces, memoized under
     the web's canonical key in the table's eval memo."""
@@ -447,12 +447,12 @@ def eval_box_web(w, ctx: ClaspContext = None, budget: int = 10 ** 6) -> Rational
     if w is None:
         return _ZERO
     if not _box_positions(w):
-        return eval_closed(w, table=ctx.table, budget=budget)
+        return eval_closed(w, table=ctx.table)
     memo = eng.eval_memo(ctx.table)
     key = w.canonical_key()
     if key not in memo:
-        memo[key] = sum((c * eval_box_web(piece, ctx, budget)
-                         for c, piece in _expand_one_box(w, ctx, budget)), _ZERO)
+        memo[key] = sum((c * eval_box_web(piece, ctx)
+                         for c, piece in _expand_one_box(w, ctx)), _ZERO)
     return memo[key]
 
 
@@ -540,8 +540,7 @@ def _check_braid_word(word, n: int):
             raise ValueError(f"bad braid generator {g} on {n} strands")
 
 
-def prune_box_sum(ws: WebSum, ctx: ClaspContext = None,
-                  budget: int = 10 ** 6) -> WebSum:
+def prune_box_sum(ws: WebSum, ctx: ClaspContext = None) -> WebSum:
     """Reduce a sum of webs containing opaque clasp boxes and crossings,
     dropping every term in which a box meets a turnback.
 
@@ -562,8 +561,7 @@ def prune_box_sum(ws: WebSum, ctx: ClaspContext = None,
             stack.extend((coeff * k, w2) for k, w2 in eng._smooth(web, v, ctx.table))
             continue
         key = web.canonical_key()
-        reduced = reduce_sum(WebSum.from_web(web, coeff), table=ctx.table,
-                             budget=budget, boxes_ok=True)
+        reduced = reduce_sum(WebSum.from_web(web, coeff), table=ctx.table, boxes_ok=True)
         for c2, w2 in reduced:
             if w2.canonical_key() == key:
                 out.add(c2, w2)   # irreducible fixed point of the pipeline

@@ -88,7 +88,7 @@ def cmd_web_eval(args):
     bad = w.validate()
     if bad:
         raise ValueError(f"invalid web: {bad.kind}: {bad.detail}")
-    val = clasp_mod.eval_box_web(w, _ctx(args), budget=args.budget)
+    val = clasp_mod.eval_box_web(w, _ctx(args))
     return _emit(args, {"schema": "c2spider/scalar/1",
                         "scalar": _rf_json(val, args)})
 
@@ -218,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("json", "text"), default="json")
     ap.add_argument("--precision", type=int, default=None,
                     help="display-only decimal rendering (never used in computation)")
-    ap.add_argument("--budget", type=int, default=10 ** 6,
-                    help="rewriting step budget")
     ap.add_argument("--cache-dir", default=None,
                     help="projector cache directory (or set C2SPIDER_CACHE)")
     ap.add_argument("--no-cache", action="store_true")

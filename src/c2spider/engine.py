@@ -1,10 +1,13 @@
 """Reduction engine: rewrite webs to normal form using the relation table.
 
-Closed crossing-free webs always contain a reducible face (a discrete
-Gauss-Bonnet count over the sphere forces positive-curvature faces to exist),
-and every face rule strictly decreases the vertex count, so closed evaluation
-terminates; the step budget exists to convert a corrupted rule table into a
-clean error instead of a hang.
+Reduction terminates by construction.  A face rule fires only on an m-gon
+with m distinct trivalent corners, crossings and tetravalent vertices are
+expanded once beforehand, and ``RuleTable`` refuses at construction any face
+rule with a right-hand term of m or more vertices, so every rewrite strictly
+lowers the vertex count.  Closed crossing-free webs always contain a
+reducible face (a discrete Gauss-Bonnet count over the sphere forces
+positive-curvature faces to exist); a table lacking the rule for one raises
+``NonTerminating``.
 
 Equality of open webs is decided through the closed pairing
 ``<X, Y> = eval(plug(mirror(X), Y))``, a symmetric bilinear form.  It is not
@@ -26,16 +29,13 @@ tests/test_web.py checks it on random closed webs and on braid closures.
 
 from __future__ import annotations
 
-import itertools
-import random
-
 from .ring import RationalFunction, _sum_fractions
 from .rules import RuleTable, default_table
 from .web import Web, compose, mirror, plug
 
 
 class NonTerminating(RuntimeError):
-    """Step budget exceeded; indicates a corrupted relation table."""
+    """A closed web has no reducible face: relation table incomplete."""
 
 
 class UnsupportedCrossingType(ValueError):
@@ -303,18 +303,6 @@ def apply_face_rule(web: Web, face, rule, rot):
 # reduction
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, n):
-        self.left = n
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise NonTerminating("reduction step budget exceeded")
-
-
 def _strip_loops(coeff, w, table):
     if not w.free_loops:
         return coeff, w
@@ -325,14 +313,17 @@ def _strip_loops(coeff, w, table):
     return coeff, w
 
 
-def reduce_sum(ws, table: RuleTable = None, strategy: str = "smallest",
-               budget: int = 10 ** 6, seed: int = 0, boxes_ok: bool = False) -> WebSum:
+def _pick_face(web: Web, table: RuleTable):
+    """The face to rewrite: the smallest, then the lowest darts; None when
+    no face is reducible."""
+    return min(_face_matches(web, table), key=lambda t: (t[0], t[1]), default=None)
+
+
+def reduce_sum(ws, table: RuleTable = None, boxes_ok: bool = False) -> WebSum:
     """Rewrite every diagram until no reducible internal face remains."""
     table = table or default_table()
-    rng = random.Random(seed)
     if isinstance(ws, Web):
         ws = WebSum.from_web(ws)
-    bud = _Budget(budget)
     out = WebSum()
     stack = [(c, w) for c, w in ws]
     while stack:
@@ -344,26 +335,16 @@ def reduce_sum(ws, table: RuleTable = None, strategy: str = "smallest",
                 (w.has_kind("clasp") and not boxes_ok):
             raise ValueError("reduce expects a plain web: resolve crossings and "
                              "expand boxes first")
-        matches = _face_matches(w, table)
-        if not matches:
+        pick = _pick_face(w, table)
+        if pick is None:
             out.add(coeff, w)
             continue
-        if strategy == "smallest":
-            pick = min(matches, key=lambda t: (t[0], t[1]))
-        elif strategy == "first":
-            pick = matches[0]
-        elif strategy == "random":
-            pick = rng.choice(matches)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        bud.spend()
-        _, face, rule, rot = pick
-        for c2, w2 in apply_face_rule(w, face, rule, rot):
+        for c2, w2 in apply_face_rule(w, *pick[1:]):
             stack.append((coeff * c2, w2))
     return out
 
 
-def eval_closed(w, table: RuleTable = None, budget: int = 10 ** 6) -> RationalFunction:
+def eval_closed(w, table: RuleTable = None) -> RationalFunction:
     """Scalar value of a closed web or closed ``WebSum`` (the coefficient of
     the empty web).
 
@@ -376,7 +357,6 @@ def eval_closed(w, table: RuleTable = None, budget: int = 10 ** 6) -> RationalFu
     """
     table = table or default_table()
     memo = eval_memo(table)
-    bud = _Budget(budget)
     total = _ZERO
     for coeff, web in ([(_ONE, w)] if isinstance(w, Web) else w):
         if web.boundary:
@@ -387,35 +367,33 @@ def eval_closed(w, table: RuleTable = None, budget: int = 10 ** 6) -> RationalFu
             web = expand_tetravalent(web)
         work = resolve_crossings(web, table) if web.has_kind("cross") else [(_ONE, web)]
         for c, ww in work:
-            total = total + coeff * c * _eval_plain(ww, table, bud, memo)
+            total = total + coeff * c * _eval_plain(ww, table, memo)
     return total
 
 
-def _eval_plain(web: Web, table, bud, memo) -> RationalFunction:
+def _eval_plain(web: Web, table, memo) -> RationalFunction:
     value = _ONE
     for t in web.free_loops:
         value = value * table.loop[t]
     for comp in web.closed_components():
-        value = value * _eval_component(comp, table, bud, memo)
+        value = value * _eval_component(comp, table, memo)
     return value
 
 
-def _eval_component(web: Web, table, bud, memo) -> RationalFunction:
+def _eval_component(web: Web, table, memo) -> RationalFunction:
     key = web.canonical_key()
     hit = memo.get(key)
     if hit is not None:
         return hit
-    matches = _face_matches(web, table)
-    if not matches:
+    pick = _pick_face(web, table)
+    if pick is None:
         if web.vkind:
             raise NonTerminating(
                 "closed web has no reducible face; relation table incomplete")
         return _ONE
-    bud.spend()
-    _, face, rule, rot = min(matches, key=lambda t: (t[0], t[1]))
     value = _ZERO
-    for c2, w2 in apply_face_rule(web, face, rule, rot):
-        value = value + c2 * _eval_plain(w2, table, bud, memo)
+    for c2, w2 in apply_face_rule(web, *pick[1:]):
+        value = value + c2 * _eval_plain(w2, table, memo)
     memo[key] = value
     return value
 
@@ -538,8 +516,7 @@ def to_mini(diagram: Web):
 # exact equality via the closed pairing
 
 
-def pair_closed(x: WebSum, y: WebSum, table: RuleTable = None,
-                budget: int = 10 ** 6) -> RationalFunction:
+def pair_closed(x: WebSum, y: WebSum, table: RuleTable = None) -> RationalFunction:
     """Closed pairing <x, y>: glue mirror(x) against y and evaluate.  The
     products c1 c2 <w1, w2> are summed unreduced and normalized once.
 
@@ -558,23 +535,18 @@ def pair_closed(x: WebSum, y: WebSum, table: RuleTable = None,
 
     def products():
         for k, c1, w1, c2, w2 in pairs:
-            v = eval_closed(plug(w1, w2), table, budget)
+            v = eval_closed(plug(w1, w2), table)
             if not v.is_zero():
                 yield k * c1.num * c2.num * v.num, c1.den * c2.den * v.den
 
     return _sum_fractions(products())
 
 
-def sum_is_zero(x: WebSum, table: RuleTable = None, budget: int = 10 ** 6) -> bool:
+def sum_is_zero(x: WebSum, table: RuleTable = None) -> bool:
     """Exact zero test in the skein module: x vanishes exactly when its
     self-pairing <x, x> is the zero rational function.  The pairing is
     semidefinite, not positive definite, with a sign that depends on the
     boundary (see module docstring)."""
     if x.is_zero():
         return True
-    return pair_closed(x, x, table, budget).is_zero()
-
-
-def sums_equal(x: WebSum, y: WebSum, table: RuleTable = None,
-               budget: int = 10 ** 6) -> bool:
-    return sum_is_zero(x - y, table, budget)
+    return pair_closed(x, x, table).is_zero()

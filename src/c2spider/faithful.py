@@ -246,13 +246,19 @@ def torus_detection(n: int, k: int) -> bool:
     return any((n * (e - base)) % order for e in exps)
 
 
-def min_detect_level(n: int, k_max: int = 1000) -> int:
+def min_detect_level(n: int) -> int:
+    """The least level k >= 1 at which the n-th twist power is detected.
+
+    The search ends: the simple (1,0) is in the alcove at every k >= 1, with
+    twist exponent 5 against the vacuum's 0, and 5n is nonzero mod 4k+12
+    once 4k+12 > 5|n|, so k <= max(1, ceil((5|n| - 11) / 4)).
+    """
     if n == 0:
         raise ValueError("the zero twist power is central")
-    for k in range(1, k_max + 1):
-        if torus_detection(n, k):
-            return k
-    raise RuntimeError(f"no detection level found below {k_max}")
+    k = 1
+    while not torus_detection(n, k):
+        k += 1
+    return k
 
 
 # -- randomized scenario generation ---------------------------------------------------

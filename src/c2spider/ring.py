@@ -133,13 +133,6 @@ class LaurentPoly:
     def max_exp(self) -> int:
         return max(self.num)
 
-    def bar(self) -> "LaurentPoly":
-        """The involution q -> q^-1."""
-        return _laurent_raw({-e: c for e, c in self.num.items()}, self.den)
-
-    def eval_at_one(self) -> Fraction:
-        return Fraction(sum(self.num.values()), self.den)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(other)
@@ -390,12 +383,6 @@ def _cyclotomic_int(n: int) -> tuple:
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> tuple:
-    """Coefficients (low first, exact integers) of the n-th cyclotomic polynomial."""
-    return tuple(Fraction(c) for c in _cyclotomic_int(n))
-
-
 # Integer residue arithmetic modulo Phi_N.  Residues are integer lists, low
 # degree first; the per-order tables are built on first use.
 
@@ -512,14 +499,6 @@ class RationalFunction:
 
     def is_poly(self) -> bool:
         return _is_one(self.den)
-
-    def as_laurent(self) -> LaurentPoly:
-        if not self.is_poly():
-            raise ValueError(f"not a Laurent polynomial: {self}")
-        return self.num
-
-    def bar(self) -> "RationalFunction":
-        return RationalFunction(self.num.bar(), self.den.bar())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):

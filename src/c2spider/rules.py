@@ -26,7 +26,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .ring import LaurentPoly, RationalFunction
+from .ring import RationalFunction
 
 
 def _ext_type(before: str, after: str) -> str:
@@ -46,13 +46,21 @@ class FaceRule:
 
 
 class RuleTable:
-    """Loop values, face rules and the crossing expansion."""
+    """Loop values, face rules and the crossing expansion.
+
+    Every right-hand term of a face rule must have fewer vertices than the
+    face has sides, so that each rewrite lowers the vertex count and
+    reduction ends; a table that breaks this is refused with ValueError.
+    """
 
     def __init__(self, loop, face_rules, crossing=None, framing=None, meta=None):
         self.loop = {t: RationalFunction.coerce(v) for t, v in loop.items()}
         self.rules = list(face_rules)
         self.by_len = {}
         for r in self.rules:
+            if any(len(verts) >= len(r.word) for _, (verts, _) in r.rhs):
+                raise ValueError(f"face rule {''.join(r.word)} has a right-hand "
+                                 f"term with no fewer vertices than sides")
             self.by_len.setdefault(len(r.word), []).append(r)
         self.max_face = max(self.by_len) if self.by_len else 0
         # crossing = (A, B, C): identity-smoothing, turnback-smoothing and

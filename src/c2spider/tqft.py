@@ -46,10 +46,6 @@ class Spine:
     def theta_graph() -> "Spine":
         return Spine(2, ((0, 1), (0, 1), (0, 1)))
 
-    @staticmethod
-    def dumbbell() -> "Spine":
-        return Spine(2, ((0, 0), (0, 1), (1, 1)))
-
     def validate(self):
         if self.circle:
             if self.n_vertices or self.edges:
@@ -241,23 +237,6 @@ def mat_scale_columns(a, diag):
 def mat_identity(n, order):
     return [[CycNumber.one(order) if i == j else CycNumber.zero(order)
              for j in range(n)] for i in range(n)]
-
-
-def proportional(a, b):
-    """The scalar c with a = c * b, or None."""
-    c = None
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            if y.is_zero():
-                if not x.is_zero():
-                    return None
-                continue
-            r = x / y
-            if c is None:
-                c = r
-            elif c != r:
-                return None
-    return c
 
 
 # -- the torus representation -----------------------------------------------------

@@ -488,12 +488,6 @@ def empty_web() -> Web:
     return Web()
 
 
-def loop_web(etype: str = SINGLE) -> Web:
-    w = Web()
-    w.add_free_loop(etype)
-    return w
-
-
 def id_web(types) -> Web:
     """Identity tangle on the given strand types (left to right)."""
     w = Web()
@@ -567,18 +561,6 @@ def crossing_web(positive: bool = True) -> Web:
     """
     w = Web()
     _, darts = w.add_vertex("cross", ["s"] * 4, extra=("over", 0 if positive else 1))
-    bdarts = [w.new_dart("s") for _ in darts]
-    for d, b in zip(darts, bdarts):
-        w.connect(d, b)
-    w.boundary = bdarts
-    w.n_in = 2
-    return w
-
-
-def tetravalent_web(axis: int = 0) -> Web:
-    """Formal tetravalent vertex on four single legs, two in and two out."""
-    w = Web()
-    _, darts = w.add_vertex("tet", ["s"] * 4, extra=("axis", axis % 2))
     bdarts = [w.new_dart("s") for _ in darts]
     for d, b in zip(darts, bdarts):
         w.connect(d, b)
@@ -676,16 +658,6 @@ def tensor(left: Web, right: Web) -> Web:
                   + w.boundary[w.n_in:])
     w.n_in = w.n_in + right.n_in
     return w
-
-
-def rotate(w: Web, steps: int) -> Web:
-    """Rotate the boundary basepoint counterclockwise by ``steps``."""
-    out = w.copy()
-    m = len(out.boundary)
-    if m:
-        k = steps % m
-        out.boundary = out.boundary[k:] + out.boundary[:k]
-    return out
 
 
 def mirror(w: Web) -> Web:

@@ -1,0 +1,57 @@
+"""Small constructors and oracles that only the tests use."""
+
+from fractions import Fraction
+
+from c2spider import web as wb
+from c2spider.tqft import Spine
+
+
+def loop_web(etype="s") -> wb.Web:
+    """The web of one free loop of the given strand type."""
+    w = wb.Web()
+    w.add_free_loop(etype)
+    return w
+
+
+def dumbbell() -> Spine:
+    """The genus-2 spine of two loops joined by a bridge."""
+    return Spine(2, ((0, 0), (0, 1), (1, 1)))
+
+
+def eval_at_one(p) -> Fraction:
+    """A Laurent polynomial at q = 1."""
+    return sum(p.terms.values(), Fraction(0))
+
+
+def as_laurent(r):
+    """A rational function that is a Laurent polynomial, as that polynomial."""
+    assert r.is_poly(), r
+    return r.num
+
+
+def dominates(x, y) -> bool:
+    """Partial order generated by (a,b) > (a-2, b+1) and (a,b) > (a+2, b-2);
+    equivalently x - y is a nonnegative integer combination of the simple
+    roots written in (a, b) coordinates."""
+    dx = x[0] - y[0]
+    dy = x[1] - y[1]
+    if dx % 2:
+        return False
+    return dx + dy >= 0 and dx // 2 + dy >= 0
+
+
+def proportional(a, b):
+    """The scalar c with a = c * b for matrices a and b, or None."""
+    c = None
+    for ra, rb in zip(a, b):
+        for x, y in zip(ra, rb):
+            if y.is_zero():
+                if not x.is_zero():
+                    return None
+                continue
+            r = x / y
+            if c is None:
+                c = r
+            elif c != r:
+                return None
+    return c

@@ -89,8 +89,8 @@ def _recursion_terms(n, ctx):
 
 def test_expansion_equals_the_flat_recursion(ctx):
     for n in (2, 3, 4):
-        assert eng.sums_equal(cl.clasp_expand(n, "single", ctx), _flat_clasp(n, ctx),
-                              table=ctx.table), n
+        assert eng.sum_is_zero(cl.clasp_expand(n, "single", ctx) - _flat_clasp(n, ctx),
+                               table=ctx.table), n
 
 
 def _worklist_expand_boxes(web, ctx):
@@ -106,7 +106,7 @@ def _worklist_expand_boxes(web, ctx):
         if not cl._box_positions(w):
             out.add(coeff, w)
             continue
-        stack.extend((coeff * c, w2) for c, w2 in cl._expand_one_box(w, ctx, 10 ** 6))
+        stack.extend((coeff * c, w2) for c, w2 in cl._expand_one_box(w, ctx))
     return out
 
 
@@ -228,7 +228,7 @@ def test_idempotence_by_direct_composition(ctx):
     for n in (2, 3):
         p = cl.clasp_expand(n, "single", ctx)
         pp = eng.reduce_sum(eng.sum_compose(p, p), table=ctx.table)
-        assert eng.sums_equal(pp, p, table=ctx.table), n
+        assert eng.sum_is_zero(pp - p, table=ctx.table), n
 
 
 def test_traces_match_quantum_dimensions(ctx):
@@ -256,7 +256,7 @@ def test_braid_verification_catches_wrong_scalar(ctx):
     b = eng.resolve_crossings(cl.braid_web([1], 2), table=ctx.table)
     lhs = eng.reduce_sum(eng.sum_compose(b, p), table=ctx.table)
     wrong = p.scale(RF.coerce(q(-1)))
-    assert not eng.sums_equal(lhs, wrong, table=ctx.table)
+    assert not eng.sum_is_zero(lhs - wrong, table=ctx.table)
 
 
 def test_theta_degenerate_cases(ctx):
@@ -482,7 +482,7 @@ def test_box_pruning_agrees_with_full_expansion(ctx):
             b = eng.resolve_crossings(cl.braid_web(word, n), table=ctx.table)
             x = eng.sum_compose(b, eng.WebSum.from_web(wb.clasp_box_web(n)))
             pruned = cl.expand_boxes(cl.prune_box_sum(x, ctx), ctx)
-            assert eng.sums_equal(pruned, cl.expand_boxes(x, ctx), table=ctx.table), word
+            assert eng.sum_is_zero(pruned - cl.expand_boxes(x, ctx), table=ctx.table), word
 
 
 def _words(n, max_len):
@@ -675,7 +675,7 @@ def test_cache_files_of_earlier_versions_are_not_read(tmp_path):
     cl._MEMO.pop((table.table_hash(), "single", 3), None)
     p3 = cl.clasp_expand(3, "single", ctx)
     assert len(p3) == 15
-    assert eng.sums_equal(p3, _flat_clasp(3, ctx), table=table)
+    assert eng.sum_is_zero(p3 - _flat_clasp(3, ctx), table=table)
 
 
 @pytest.mark.slow

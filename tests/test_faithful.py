@@ -1,11 +1,13 @@
 """Graph geodesics, comparison labelings, levels, certificates, torus table."""
 
+import math
 import random
 
 import pytest
 
 from c2spider import faithful as ff
 from c2spider.tqft import Spine
+from helpers import dumbbell
 
 
 def theta_walk():
@@ -38,7 +40,7 @@ def test_complexity_and_labels():
 
 
 def test_complexity_counts_loops_twice():
-    db = Spine.dumbbell()   # edges: loop at 0, bridge, loop at 1
+    db = dumbbell()   # edges: loop at 0, bridge, loop at 1
     walk = ff.CurveWalk(db, ((0, 0), (0, 1), (1, 2), (1, 1)))
     p, m = ff.complexity(walk)
     assert p == {0: 1, 1: 2, 2: 1}
@@ -58,7 +60,7 @@ def test_min_level_arithmetic():
     # m = 2, max p = 1: both vertex spaces are nonzero at level 1
     assert ff.min_level(theta_walk()) == 1
     # m = 4, max p = 2 -> level 2;  m = 10, max p = 4 -> level 4
-    db = Spine.dumbbell()
+    db = dumbbell()
     w4 = ff.CurveWalk(db, ((0, 0), (0, 1), (1, 2), (1, 1)))
     assert ff.complexity(w4)[1] == 4
     assert ff.min_level(w4) == 2
@@ -165,6 +167,16 @@ def test_torus_detection_table_finite():
         assert ff.torus_detection(n, k)
         if k > 1:
             assert not ff.torus_detection(n, k - 1)
+
+
+def test_min_detect_level_within_the_twist_bound():
+    """(1,0) against the vacuum detects the n-th twist power once
+    4k+12 > 5|n|, so the search ends by that level."""
+    for n in list(range(1, 400)) + [-3, -7, -50]:
+        bound = max(1, math.ceil((5 * abs(n) - 11) / 4))
+        k = ff.min_detect_level(n)
+        assert k <= bound, n
+        assert ff.torus_detection(n, bound), n
 
 
 def test_walk_json_roundtrip():

@@ -11,8 +11,8 @@ import pytest
 
 from c2spider import cat, faithful, tqft
 from c2spider.tqft import (Spine, curve_operator_torus, mat_identity, mat_mul,
-                           mat_scale_columns, normalize_curve, proportional,
-                           torus_rep)
+                           mat_scale_columns, normalize_curve, torus_rep)
+from helpers import dumbbell, proportional
 
 
 def _enumerated_dim(spine, k):
@@ -57,7 +57,7 @@ def _dense_twist(md):
 
 def test_spine_validation():
     Spine.theta_graph().validate()
-    Spine.dumbbell().validate()
+    dumbbell().validate()
     Spine.torus().validate()
     with pytest.raises(ValueError):
         Spine(2, ((0, 1), (0, 1))).validate()        # degree 2
@@ -68,11 +68,11 @@ def test_spine_validation():
 def test_spine_genus():
     assert Spine.torus().genus() == 1
     assert Spine.theta_graph().genus() == 2
-    assert Spine.dumbbell().genus() == 2
+    assert dumbbell().genus() == 2
 
 
 def test_spine_json_roundtrip():
-    for sp in (Spine.theta_graph(), Spine.dumbbell(), Spine.torus()):
+    for sp in (Spine.theta_graph(), dumbbell(), Spine.torus()):
         blob = json.dumps(sp.to_json(), sort_keys=True)
         again = Spine.from_json(json.loads(blob))
         assert again == sp
@@ -87,7 +87,7 @@ def test_torus_statespace():
 def test_genus_two_basis_independence_and_verlinde():
     for k in (1, 2):
         th = tqft.statespace_dim(Spine.theta_graph(), k)
-        db = tqft.statespace_dim(Spine.dumbbell(), k)
+        db = tqft.statespace_dim(dumbbell(), k)
         vd = tqft.verlinde_dim(2, k)
         assert th == db == vd
 
@@ -134,7 +134,7 @@ def test_genus_four_at_level_three_counts_fast():
 
 
 def test_statespace_dim_leaves_no_reference_cycles():
-    spines = (Spine.theta_graph(), Spine.dumbbell())
+    spines = (Spine.theta_graph(), dumbbell())
     for k in (1, 2, 3):     # fill the fusion caches first
         for spine in spines:
             tqft.statespace_dim(spine, k)
