@@ -286,16 +286,22 @@ def twist_exponent(w) -> int:
 
 @dataclass
 class ModularData:
+    """Level-k modular data (Bakalov-Kirillov, ch. 3).  S~ is real and
+    symmetric, since every simple of sp(4) is self-dual (see
+    ``modular_data``), so S~ is its own conjugate and its own transpose."""
     level: int
     order: int
     simples: list
     s_tilde: list        # unnormalized S matrix, CycNumber entries
     t_diag: list         # twist eigenvalues theta_lambda
     omega: list          # Kirby weights: quantum dimensions at the root
-    s_norm_sq: CycNumber  # the scalar with S~ S~^dagger = s_norm_sq * id
+    s_norm_sq: CycNumber  # the scalar with S~ S~ = s_norm_sq * id
 
     def index(self, w) -> int:
-        return self.simples.index(check_weight(w))
+        w = check_weight(w)
+        if not is_simple_at(w, self.level):
+            raise NotSimpleAtLevel(f"{w} is not simple at level {self.level}")
+        return self.simples.index(w)
 
     @cached_property
     def vacuum_inv(self) -> list:
@@ -307,15 +313,29 @@ class ModularData:
 
     @cached_property
     def verlinde_rows(self) -> list:
-        """Row nu holds conj(S~[nu][i]) * vacuum_inv[i] / s_norm_sq, the
-        factors of the Verlinde sum that do not depend on lam and mu."""
+        """Row nu holds S~[nu][i] * vacuum_inv[i] / s_norm_sq, the factors of
+        the Verlinde sum that do not depend on lam and mu (S~ is real, so
+        the conjugate of S~[nu][i] is itself)."""
         scale = self.s_norm_sq.inverse()
         weights = [inv * scale for inv in self.vacuum_inv]
-        return [[z.conj() * w for z, w in zip(row, weights)] for row in self.s_tilde]
+        return [[z * w for z, w in zip(row, weights)] for row in self.s_tilde]
 
 
 @lru_cache(maxsize=None)
 def modular_data(k: int) -> ModularData:
+    """S~, T and the Kirby weights at level k, with S~ S~ = s_norm_sq * id
+    checked exactly.
+
+    S~_{lam mu} = sum over w in W(C2) of det(w) q^(-2 <w(lam+rho), mu+rho>)
+    is real and symmetric:
+    - -1 is in W(C2) with det +1, so the terms pair off as q^x + q^-x, and
+      q^-x is the conjugate of q^x at a root of unity;
+    - <wu, v> = <u, w^-1 v> and det(w^-1) = det(w), so summing over w^-1
+      in place of w swaps lam and mu.
+    Hence S~ S~+ = S~ S~^T, whose (i, j) entry is the product of rows i and
+    j; it is symmetric in i and j, so the rows are multiplied for i <= j
+    only.  All n^2 entries of S~ are computed, so tests can check both
+    properties on them."""
     if k < 1:
         raise ValueError("level must be at least 1")
     n = q_order(k)
@@ -333,16 +353,13 @@ def modular_data(k: int) -> ModularData:
         raise NonIntegerResult("vacuum S-matrix entry vanishes")
     inv00 = s00.inverse()
     omega = [x * inv00 for x in s_tilde[0]]
-    # S~ S~^dagger must be a scalar matrix
-    conj = [[x.conj() for x in row] for row in s_tilde]
-    norm = cyc_dot(s_tilde[0], conj[0])
+    # S~ S~^T must be a scalar matrix
+    norm = cyc_dot(s_tilde[0], s_tilde[0])
     for i, row in enumerate(s_tilde):
-        for j, row_bar in enumerate(conj):
-            acc = cyc_dot(row, row_bar)
-            if i == j:
-                if acc != norm:
-                    raise NonIntegerResult("S~ S~+ is not a scalar matrix")
-            elif not acc.is_zero():
+        if i and cyc_dot(row, row) != norm:
+            raise NonIntegerResult("S~ S~^T is not a scalar matrix")
+        for other in s_tilde[i + 1:]:
+            if not cyc_dot(row, other).is_zero():
                 raise NonIntegerResult("S~ rows are not orthogonal")
     return ModularData(level=k, order=n, simples=objs, s_tilde=s_tilde,
                        t_diag=t_diag, omega=omega, s_norm_sq=norm)

@@ -171,13 +171,12 @@ def cmd_tqft_dim(args):
 
 
 def cmd_tqft_torus(args):
-    rep = tqft.torus_rep(args.level)
-    md = rep.md
+    md = cat.modular_data(args.level)
     return _emit(args, {
         "schema": "c2spider/torus-rep/1", "level": args.level,
         "q_order": md.order,
         "simples": [list(w) for w in md.simples],
-        "s_move": [[_cyc_json(x, args) for x in row] for row in rep.s],
+        "s_move": [[_cyc_json(x, args) for x in row] for row in md.s_tilde],
         "twist": [_cyc_json(x, args) for x in md.t_diag],
         "note": "matrices are unnormalized/projective; the twist carries an "
                 "untracked global framing phase"})

@@ -8,13 +8,14 @@ and serves as the independent cross-check.
 
 The torus is special: its spine is a bare circle, states are the simple
 objects themselves, and the mapping-class action is generated by the exact
-S and T matrices.  Curve operators are realized concretely there: the
-meridian operator is diagonal with the fundamental character values, and any
-other curve operator is obtained by conjugating along a mapping class word.
-All matrices are exact cyclotomic matrices, kept unnormalized; every
-statement checked downstream is conjugation- or phase-insensitive.
-No inverse is stored: S~ S~+ = s_norm_sq * id and T is a diagonal of roots
-of unity, so a word M with #s letters 's' has M^-1 = M+ / s_norm_sq^#s
+S and T matrices of ``cat.modular_data``.  The meridian operator is diagonal
+with the fundamental character values, and any other curve operator is its
+conjugate along a mapping class word; conjugation is checked in that
+eigenbasis.  All matrices are exact cyclotomic matrices, kept unnormalized;
+every statement checked downstream is conjugation- or phase-insensitive.
+No inverse is formed: S~ is real and symmetric with S~ S~ = s_norm_sq * id,
+and T is a diagonal of roots of unity, so a word M with #s letters 's' has
+M^-1 = M+ / s_norm_sq^#s; M+ still needs the conjugate, since T is not real
 (B. Bakalov and A. Kirillov, "Lectures on Tensor Categories and Modular
 Functors", AMS 2001, ch. 3).
 """
@@ -242,48 +243,34 @@ def mat_identity(n, order):
 # -- the torus representation -----------------------------------------------------
 
 
-@dataclass
-class TorusRep:
-    """Exact unnormalized mapping-class action on the torus state space.
+def word_matrix(md: ModularData, word):
+    """Exact unnormalized mapping-class action on the torus state space of a
+    word in {'s', 't'}, read as a composition: the rightmost letter acts
+    first.  An 's' multiplies by ``md.s_tilde``; a 't', the Dehn twist about
+    the meridian, scales the columns by ``md.t_diag``, or the rows if no 's'
+    precedes it, so no product has a diagonal operand.
 
-    ``s`` is the S-move; the Dehn twist about the meridian is the diagonal
-    ``md.t_diag``.  Both are defined up to a global scalar (the framing phase
-    of the twist is tracked projectively, not normalized away), so only
+    Both generators are defined up to a global scalar (the framing phase of
+    the twist is tracked projectively, not normalized away), so only
     conjugation-invariant or projective statements are meaningful.  No
-    inverse is kept: a word M with #s letters 's' has
-    M M+ = md.s_norm_sq^#s * id.
-    """
-    level: int
-    md: ModularData
-    s: list
-
-    def word_matrix(self, word):
-        """Matrix of a word in {'s', 't'}, read as a composition: the
-        rightmost letter acts first.  An 's' multiplies by S; a 't' scales
-        the columns by the twist eigenvalues, or the rows if no 's' precedes
-        it, so no product has a diagonal operand."""
-        m, lead = None, 0       # lead: the twists before the first 's'
-        for g in word:
-            if g == "t" and m is None:
-                lead += 1
-            elif g == "t":
-                m = mat_scale_columns(m, self.md.t_diag)
-            elif g == "s":
-                m = self.s if m is None else mat_mul(m, self.s)
-            else:
-                raise ValueError(f"unknown torus generator {g!r}")
-        if m is None:
-            m = mat_identity(len(self.md.simples), self.md.order)
-        if lead:    # T^lead on the left scales the rows
-            powers = [t ** lead for t in self.md.t_diag]
-            m = [[p * x for x in row] for p, row in zip(powers, m)]
-        return m
-
-
-@lru_cache(maxsize=None)
-def torus_rep(k: int) -> TorusRep:
-    md = modular_data(k)
-    return TorusRep(level=k, md=md, s=[row[:] for row in md.s_tilde])
+    inverse is formed: a word M with #s letters 's' has
+    M M+ = md.s_norm_sq^#s * id."""
+    m, lead = None, 0       # lead: the twists before the first 's'
+    for g in word:
+        if g == "t" and m is None:
+            lead += 1
+        elif g == "t":
+            m = mat_scale_columns(m, md.t_diag)
+        elif g == "s":
+            m = md.s_tilde if m is None else mat_mul(m, md.s_tilde)
+        else:
+            raise ValueError(f"unknown torus generator {g!r}")
+    if m is None:
+        m = mat_identity(len(md.simples), md.order)
+    if lead:    # T^lead on the left scales the rows
+        powers = [t ** lead for t in md.t_diag]
+        m = [[p * x for x in row] for p, row in zip(powers, m)]
+    return m
 
 
 def normalize_curve(p: int, q: int):
@@ -298,7 +285,6 @@ def normalize_curve(p: int, q: int):
 
 
 MERIDIAN = (1, 0)
-LONGITUDE = (0, 1)
 
 
 def act_on_curve(word, curve):
@@ -345,44 +331,19 @@ def _meridian_eigenvalues(md: ModularData) -> list:
     return [x * inv for x, inv in zip(row, md.vacuum_inv)]
 
 
-def curve_operator_torus(curve, k: int):
-    """Exact curve operator on the torus state space.
-
-    The meridian operator is diagonal with the fundamental character values
-    (``_meridian_eigenvalues``); a general primitive class is reached by
-    conjugating with a canonical mapping-class word.
-    """
-    if curve == "meridian":
-        curve = MERIDIAN
-    elif curve == "longitude":
-        curve = LONGITUDE
-    curve = normalize_curve(*curve)
-    rep = torus_rep(k)
-    md = rep.md
-    word = _word_reaching(curve)
-    # M^-1 = s_norm_sq^-#s M+: the scalar joins the diagonal
-    scale = md.s_norm_sq ** -word.count("s")
-    diag = [d * scale for d in _meridian_eigenvalues(md)]
-    if not word:
-        return mat_scale_columns(mat_identity(len(md.simples), md.order), diag)
-    m = rep.word_matrix(word)
-    return mat_mul(mat_scale_columns(m, diag),
-                   [[x.conj() for x in col] for col in zip(*m)])
-
-
 def conjugation_identity_holds(word, curve, k: int) -> bool:
     """Check V_h C(gamma) V_h^-1 = C(h(gamma)) exactly, in the meridian
     eigenbasis: C(gamma) = W D W^-1 with W the matrix of the word reaching
     gamma and D the meridian eigenvalues d_i, and W^-1 is W+ up to a nonzero
     scalar, so the identity holds iff X = W_{h gamma}+ V_h W_gamma, where
     V_h W_gamma is the concatenated word, has X_ij = 0 wherever d_i != d_j."""
-    rep = torus_rep(k)
+    md = modular_data(k)
     curve = normalize_curve(*curve)
-    x = rep.word_matrix(tuple(word) + _word_reaching(curve))
+    x = word_matrix(md, tuple(word) + _word_reaching(curve))
     target = _word_reaching(act_on_curve(word, curve))
     if target:      # a shortest nonempty word ends in 's': W is not diagonal
-        w = rep.word_matrix(target)
+        w = word_matrix(md, target)
         x = mat_mul([[v.conj() for v in col] for col in zip(*w)], x)
-    d = _meridian_eigenvalues(rep.md)
+    d = _meridian_eigenvalues(md)
     return all(x[i][j].is_zero() for i, di in enumerate(d)
                for j, dj in enumerate(d) if di != dj)

@@ -133,9 +133,8 @@ def test_criterion_6_modularity_and_verlinde():
         # S^2 is the charge conjugation permutation (identity: all self-dual)
         s2 = mat_mul(md.s_tilde, md.s_tilde)
         assert proportional(s2, mat_identity(n, md.order)) is not None
-        rep = tqft.torus_rep(k)
         t = mat_scale_columns(mat_identity(n, md.order), md.t_diag)
-        st = mat_mul(rep.s, t)
+        st = mat_mul(md.s_tilde, t)
         st3 = mat_mul(st, mat_mul(st, st))
         phase = proportional(st3, s2)
         assert phase is not None and not phase.is_zero()

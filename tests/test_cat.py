@@ -136,13 +136,15 @@ def test_twist_exponents():
 
 
 def test_modular_data_invariants():
-    for k in (1, 2, 3):
+    for k in range(1, 6):
         md = cat.modular_data(k)
         n = len(md.simples)
-        # symmetry
+        # symmetry and realness, on which the conjugate-free unitarity check
+        # of modular_data rests
         for i in range(n):
             for j in range(n):
                 assert md.s_tilde[i][j] == md.s_tilde[j][i]
+                assert md.s_tilde[i][j].conj() == md.s_tilde[i][j]
         # unitarity against the global factor is built into construction;
         # S^2 is a scalar multiple of the identity (all objects self-dual)
         s2 = mat_mul(md.s_tilde, md.s_tilde)
@@ -165,6 +167,14 @@ def test_verlinde_matches_fusion():
                 for nu in md.simples:
                     assert cat.verlinde_multiplicity(md, lam, mu, nu) == \
                         fd.get(nu, 0)
+
+
+def test_weight_outside_the_alcove_raises_typed_error():
+    md = cat.modular_data(1)
+    with pytest.raises(cat.NotSimpleAtLevel):
+        cat.verlinde_multiplicity(md, (2, 0), (0, 0), (0, 0))
+    with pytest.raises(cat.NotSimpleAtLevel):
+        md.index((0, 2))
 
 
 def test_vacuum_inverses():

@@ -1,5 +1,6 @@
 """Command-line surface: schemas, determinism, exit codes."""
 
+import hashlib
 import json
 import random
 
@@ -119,6 +120,16 @@ def test_tqft_cli(capsys, tmp_path):
     code, out, _ = run(capsys, "tqft", "torus", "--level", "1")
     data = json.loads(out)
     assert len(data["twist"]) == 3
+
+
+def test_level_two_matrices_are_pinned(capsys):
+    # the S-move and S-matrix outputs, byte for byte
+    pins = {("tqft", "torus"): "bec7e6a7b265e0e239888794c70af328ac1e5bcdec841aa608529084d1ebdbde",
+            ("cat", "smatrix"): "9636d13f8911ac55d412bb46275e62dd49702fc062d88c9cf8afa50dbdd93cc0"}
+    for command, digest in pins.items():
+        code, out, _ = run(capsys, *command, "--level", "2")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 def test_tqft_dim_cli_genus_four_at_level_three(capsys, tmp_path):

@@ -10,8 +10,8 @@ import time
 import pytest
 
 from c2spider import cat, faithful, tqft
-from c2spider.tqft import (Spine, curve_operator_torus, mat_identity, mat_mul,
-                           mat_scale_columns, normalize_curve, torus_rep)
+from c2spider.tqft import (Spine, mat_identity, mat_mul, mat_scale_columns,
+                           normalize_curve, word_matrix)
 from helpers import dumbbell, proportional
 
 
@@ -53,6 +53,28 @@ def _enumerated_dim(spine, k):
 
 def _dense_twist(md):
     return mat_scale_columns(mat_identity(len(md.simples), md.order), md.t_diag)
+
+
+def curve_operator_torus(curve, k):
+    """Reference: the exact curve operator on the torus state space, built
+    densely.  The meridian operator is diagonal with the fundamental
+    character values; a general primitive class is reached by conjugating
+    with the canonical mapping-class word."""
+    if curve == "meridian":
+        curve = tqft.MERIDIAN
+    elif curve == "longitude":
+        curve = (0, 1)
+    curve = normalize_curve(*curve)
+    md = cat.modular_data(k)
+    word = tqft._word_reaching(curve)
+    # M^-1 = s_norm_sq^-#s M+: the scalar joins the diagonal
+    scale = md.s_norm_sq ** -word.count("s")
+    diag = [d * scale for d in tqft._meridian_eigenvalues(md)]
+    if not word:
+        return mat_scale_columns(mat_identity(len(md.simples), md.order), diag)
+    m = word_matrix(md, word)
+    return mat_mul(mat_scale_columns(m, diag),
+                   [[x.conj() for x in col] for col in zip(*m)])
 
 
 def test_spine_validation():
@@ -165,36 +187,36 @@ def test_verlinde_genus_one():
 
 def test_modular_relation_on_torus_rep():
     for k in (1, 2):
-        rep = torus_rep(k)
-        n = len(rep.md.simples)
-        t = _dense_twist(rep.md)
-        st = mat_mul(rep.s, t)
+        md = cat.modular_data(k)
+        n = len(md.simples)
+        t = _dense_twist(md)
+        st = mat_mul(md.s_tilde, t)
         st3 = mat_mul(st, mat_mul(st, st))
-        s2 = mat_mul(rep.s, rep.s)
+        s2 = mat_mul(md.s_tilde, md.s_tilde)
         phase = proportional(st3, s2)
         assert phase is not None and not phase.is_zero()
         # identity word acts as the identity
-        assert rep.word_matrix(()) == mat_identity(n, rep.md.order)
+        assert word_matrix(md, ()) == mat_identity(n, md.order)
         # the twist word is diagonal with the twist eigenvalues
-        assert rep.word_matrix(("t",)) == t
+        assert word_matrix(md, ("t",)) == t
 
 
 def test_word_matrix_is_the_dense_product_and_unitary_up_to_scale():
     # the column-scaled twist against dense products from the identity, and
     # M M+ = s_norm_sq^#s, the fact that stands in for stored inverses
     for k in (1, 2):
-        rep = torus_rep(k)
-        n, order = len(rep.md.simples), rep.md.order
-        t = _dense_twist(rep.md)
+        md = cat.modular_data(k)
+        n, order = len(md.simples), md.order
+        t = _dense_twist(md)
         for length in range(5):
             for word in itertools.product("st", repeat=length):
-                m = rep.word_matrix(word)
+                m = word_matrix(md, word)
                 dense = functools.reduce(
-                    mat_mul, (rep.s if g == "s" else t for g in word),
+                    mat_mul, (md.s_tilde if g == "s" else t for g in word),
                     mat_identity(n, order))
                 assert m == dense, (k, word)
                 m_dag = [[x.conj() for x in col] for col in zip(*m)]
-                scale = rep.md.s_norm_sq ** word.count("s")
+                scale = md.s_norm_sq ** word.count("s")
                 assert mat_mul(m, m_dag) == [[x * scale for x in row]
                                              for row in mat_identity(n, order)], (k, word)
 
@@ -210,7 +232,7 @@ def test_curve_normalization_and_action():
 
 def test_curve_operator_unit_entry():
     for k in (1, 2):
-        md = torus_rep(k).md
+        md = cat.modular_data(k)
         cm = curve_operator_torus("meridian", k)
         assert cm[0][0] == cat.qdim_at((1, 0), md.order)
         # diagonality
@@ -225,7 +247,7 @@ def test_longitude_operator_is_fusion_with_the_fundamental():
     # Verlinde: S D S^-1 is the fusion matrix of (1,0), checked against
     # Kac-Walton fusion entry by entry
     for k in (1, 2, 3, 4):
-        md = torus_rep(k).md
+        md = cat.modular_data(k)
         op = curve_operator_torus("longitude", k)
         for i, lam in enumerate(md.simples):
             fd = cat.fusion_dict((1, 0), lam, level=k)
@@ -248,7 +270,7 @@ def test_conjugation_identity_words_up_to_three(monkeypatch):
     for k in (1, 2):
         for length in range(4):
             for word in itertools.product("st", repeat=length):
-                m = torus_rep(k).word_matrix(word)
+                m = word_matrix(cat.modular_data(k), word)
                 for curve in curves:
                     lhs = mat_mul(m, curve_operator_torus(curve, k))
                     image = tqft.act_on_curve(word, curve)
