@@ -18,15 +18,13 @@ G. Kuperberg, "Spiders for rank 2 Lie algebras", Comm. Math. Phys. 180,
 1996).  In the normalization of the frozen relation table these are exactly
 the solutions of the annihilation conditions; tests/test_clasp.py checks
 that by solving the conditions with closed pairings.  Flat expansions are
-memoized on disk keyed by the relation-table hash.
-
-Clasps of mixed weight (a, b) with a, b > 0 exist as labels but are never
-expanded; double-type clasps expand only for n <= 1 (the identity cases).
+memoized on disk keyed by the relation-table hash.  These single-strand
+clasps are the only ones built: a box in a web is a clasp (n, 0).
 
 Inside diagrams clasps stay opaque boxes for as long as possible: a term dies
 as soon as any box sees an adjacent-leg cap or an adjacent-leg trivalent
-vertex on one side, which is what makes theta networks tractable.  A single
-box (n, 0) with n >= 2 is expanded by the recursion at the level of boxes,
+vertex on one side, which is what makes theta networks tractable.  A box
+(n, 0) with n >= 2 is expanded by the recursion at the level of boxes,
 T0 + c1 T0 E T0 + c2 T0 G T0 with T0 a box of n-1 beside a strand, as
 recoupling theory does it (L. Kauffman and S. Lins, "Temperley-Lieb
 Recoupling Theory and Invariants of 3-Manifolds", 1994).  That is the one
@@ -146,21 +144,15 @@ def _websum_from_json(data) -> WebSum:
 
 
 def clasp_expand(n: int, kind: str = "single", ctx: ClaspContext = None) -> WebSum:
-    """The projector on n parallel strands as a sum of plain webs: for
-    n >= 2, ``expand_boxes`` of one open box, memoized in process and on disk."""
+    """The projector (n, 0) on n parallel single strands as a sum of plain
+    webs: for n >= 2, ``expand_boxes`` of one open box, memoized in process
+    and on disk.  ``kind`` must be "single", the only kind built."""
     if n < 0:
         raise ValueError("strand count must be nonnegative")
-    ctx = ctx or default_context()
-    if kind == "double":
-        if n == 0:
-            return WebSum.from_web(wb.empty_web())
-        if n == 1:
-            return WebSum.from_web(wb.id_web(["d"]))
-        raise NotImplementedError(
-            "no recursive expansion is implemented for double-type clasps "
-            "beyond one strand; they participate as labels only")
     if kind != "single":
-        raise ValueError(f"unknown clasp kind {kind!r}")
+        raise ValueError(f"unknown clasp kind {kind!r}: only single-strand "
+                         "clasps are built")
+    ctx = ctx or default_context()
     memo_key = (ctx.table.table_hash(), kind, n)
     if memo_key in _MEMO:
         return _MEMO[memo_key]
@@ -262,7 +254,7 @@ def _adjacent_legs(web, v):
     """The far ends (u1, u2) of each two adjacent legs on one side of box v.
     When a cap joins the two legs, each far end is the other leg, so
     web.pair[u1] == u2."""
-    n = web.vextra[v][2]
+    n, = web.vextra[v]
     legs = web.vlegs[v]
     for side in (legs[:n], legs[n:]):
         for t in range(len(side) - 1):
@@ -307,23 +299,21 @@ def _box_straighten_step(web):
 
 def _box_absorb_step(web):
     """Merge two stacked clasp boxes of equal weight (idempotent absorption)."""
-    boxes = _box_positions(web)
-    for v in boxes:
-        a, b, n = web.vextra[v]
+    for v in _box_positions(web):
+        n, = web.vextra[v]
         if not n:
             continue   # the box on no strands is stacked on nothing
         legs = web.vlegs[v]
         target = web.dart_vertex.get(web.pair[legs[n]])
         if target is None or target == v or web.vkind.get(target) != "clasp":
             continue
-        if web.vextra[target][:2] != (a, b):
+        if web.vextra[target] != (n,):
             continue
         tlegs = web.vlegs[target]
         # v's output j sits at legs[2n-1-j]; it must feed target's input j
         if all(web.pair[legs[2 * n - 1 - j]] == tlegs[j] for j in range(n)):
-            mini = ((), tuple(
-                (("x", j), ("x", 2 * n - 1 - j), web.etype[tlegs[j]])
-                for j in range(n)))
+            mini = ((), tuple((("x", j), ("x", 2 * n - 1 - j), "s")
+                              for j in range(n)))
             return eng._splice(web, {target}, list(tlegs), [mini])[0]
     return None
 
@@ -369,23 +359,14 @@ def _expand_one_box(web, ctx: ClaspContext) -> WebSum:
     """Expand one box of a settled web; the pieces are settled, the dead ones
     dropped before they are keyed, and the rest reduced with boxes kept.
 
-    A single box (n, 0), n >= 2, becomes the three webs of
-    ``_recursion_webs``; a box of at most one strand or of double type the
-    flat ``clasp_expand``, an identity web there; a mixed box raises
-    NotImplementedError.  The smallest box goes first, the newest among
-    equals: on a 2-core host theta(4,4,4) takes 0.2 s so, 22 s largest first.
+    A box (n, 0), n >= 2, becomes the three webs of ``_recursion_webs``; a
+    box of at most one strand is the identity on its strands.  The smallest
+    box goes first, the newest among equals: on a 2-core host theta(4,4,4)
+    takes 0.2 s so, 22 s largest first.
     """
-    v = min(_box_positions(web),
-            key=lambda x: (web.vextra[x][0] + web.vextra[x][1], -x))
-    a, b, _ = web.vextra[v]
-    if b == 0 and a >= 2:
-        expansion = _recursion_webs(a)
-    elif a and b:
-        raise NotImplementedError(
-            f"mixed clasps ({a},{b}) with a, b > 0 are labels only")
-    else:
-        expansion = [(c, eng.to_mini(d)) for c, d in
-                     clasp_expand(a + b, "single" if b == 0 else "double", ctx)]
+    v = min(_box_positions(web), key=lambda x: (web.vextra[x][0], -x))
+    n, = web.vextra[v]
+    expansion = _recursion_webs(n) if n >= 2 else [(_ONE, eng.to_mini(_id(n)))]
     pieces = eng._splice(web, {v}, list(web.vlegs[v]), [m for _, m in expansion])
     partial = WebSum.zero()
     for (c, _), piece in zip(expansion, pieces):
@@ -397,7 +378,7 @@ def _expand_one_box(web, ctx: ClaspContext) -> WebSum:
 
 def _box_sizes(web):
     """The strand counts of the web's boxes, largest first."""
-    return tuple(sorted((sum(web.vextra[v][:2]) for v in _box_positions(web)), reverse=True))
+    return tuple(sorted((web.vextra[v][0] for v in _box_positions(web)), reverse=True))
 
 
 def expand_boxes(ws, ctx: ClaspContext = None) -> WebSum:
@@ -460,13 +441,16 @@ def eval_box_web(w, ctx: ClaspContext = None) -> RationalFunction:
 
 
 def clasp_trace(weight, ctx: ClaspContext = None) -> RationalFunction:
-    """Close the clasp box in an annulus and evaluate (the quantum trace);
-    the box is expanded by ``_expand_one_box``, which says which weights it
-    can expand."""
+    """Close the clasp box of weight (a, 0) in an annulus and evaluate (the
+    quantum trace).  A weight (a, b) with b > 0 has double strands, and its
+    clasp is not built: NotImplementedError."""
     a, b = weight
     if a < 0 or b < 0:
         raise ValueError("clasp weight components must be nonnegative")
-    return eval_box_web(wb.trace_closure(wb.clasp_box_web(a, b)), ctx)
+    if b:
+        raise NotImplementedError(f"clasp {weight} has double strands: only "
+                                  "single-strand clasps (n, 0) are built")
+    return eval_box_web(wb.trace_closure(wb.clasp_box_web(a)), ctx)
 
 
 def _theta_web(a: int, b: int, c: int):

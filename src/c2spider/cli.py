@@ -3,7 +3,8 @@
 Subcommands mirror the library layers:
 
     web eval|rules           closed-web evaluation; relation table audit
-    clasp expand|trace|theta projector expansions and their closed networks
+    clasp expand|trace|theta single-strand clasps (n, 0): expansions, traces
+                             and theta networks
     cat simples|fusion|smatrix|tmatrix   category data at a level
     tqft dim|torus           state-space dimensions, torus representation
     faithful certify|torus   detection certificates and the twist table
@@ -12,8 +13,8 @@ Subcommands mirror the library layers:
 Scalars serialize as {"num": [[exp, num, den] ...], "den": [...]} (exact
 Laurent data); cyclotomic numbers as {"order": N, "coeffs": [[num, den]...]}.
 A display-only decimal rendering is available via --precision; the core never
-computes in floating point.  Domain errors exit 1 with a structured report;
-usage errors exit 2.
+computes in floating point.  Domain errors, malformed input files among
+them, exit 1 with a structured report; usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -101,16 +102,16 @@ def cmd_web_rules(args):
 
 
 def cmd_clasp_expand(args):
-    ws = clasp_mod.clasp_expand(args.n, args.kind, _ctx(args))
+    ws = clasp_mod.clasp_expand(args.n, ctx=_ctx(args))
     return _emit(args, {"schema": "c2spider/websum/1",
                         "terms": [{"coeff": _rf_json(c, args), "web": w.to_json()}
                                   for c, w in ws]})
 
 
 def cmd_clasp_trace(args):
-    val = clasp_mod.clasp_trace((args.a, args.b), _ctx(args))
+    val = clasp_mod.clasp_trace((args.a, 0), _ctx(args))
     return _emit(args, {"schema": "c2spider/scalar/1",
-                        "weight": [args.a, args.b],
+                        "weight": [args.a, 0],
                         "scalar": _rf_json(val, args)})
 
 
@@ -232,11 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     g_clasp = sub.add_parser("clasp").add_subparsers(dest="cmd", required=True)
     p = g_clasp.add_parser("expand")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=("single", "double"), default="single")
     p.set_defaults(func=cmd_clasp_expand)
     p = g_clasp.add_parser("trace")
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, default=0)
     p.set_defaults(func=cmd_clasp_trace)
     p = g_clasp.add_parser("theta")
     p.add_argument("--a", type=int, required=True)

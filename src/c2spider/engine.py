@@ -1,13 +1,12 @@
 """Reduction engine: rewrite webs to normal form using the relation table.
 
 Reduction terminates by construction.  A face rule fires only on an m-gon
-with m distinct trivalent corners, crossings and tetravalent vertices are
-expanded once beforehand, and ``RuleTable`` refuses at construction any face
-rule with a right-hand term of m or more vertices, so every rewrite strictly
-lowers the vertex count.  Closed crossing-free webs always contain a
-reducible face (a discrete Gauss-Bonnet count over the sphere forces
-positive-curvature faces to exist); a table lacking the rule for one raises
-``NonTerminating``.
+with m distinct trivalent corners, crossings are resolved once beforehand,
+and ``RuleTable`` refuses at construction any face rule with a right-hand
+term of m or more vertices, so every rewrite strictly lowers the vertex
+count.  Closed crossing-free webs always contain a reducible face (a
+discrete Gauss-Bonnet count over the sphere forces positive-curvature faces
+to exist); a table lacking the rule for one raises ``NonTerminating``.
 
 Equality of open webs is decided through the closed pairing
 ``<X, Y> = eval(plug(mirror(X), Y))``, a symmetric bilinear form.  It is not
@@ -331,8 +330,7 @@ def reduce_sum(ws, table: RuleTable = None, boxes_ok: bool = False) -> WebSum:
         coeff, w = _strip_loops(coeff, w, table)
         if coeff.is_zero():
             continue
-        if w.has_kind("cross") or w.has_kind("tet") or \
-                (w.has_kind("clasp") and not boxes_ok):
+        if w.has_kind("cross") or (w.has_kind("clasp") and not boxes_ok):
             raise ValueError("reduce expects a plain web: resolve crossings and "
                              "expand boxes first")
         pick = _pick_face(w, table)
@@ -348,12 +346,11 @@ def eval_closed(w, table: RuleTable = None) -> RationalFunction:
     """Scalar value of a closed web or closed ``WebSum`` (the coefficient of
     the empty web).
 
-    Tetravalent vertices are expanded in place and crossings, where present,
-    resolved; clasp boxes are not allowed here (``clasp.eval_box_web``
-    expands them one at a time and hands each box-free piece here).  A whole
-    web is never keyed: it is split into connected components by
-    ``Web.closed_components``, and each component's value is kept in
-    ``eval_memo(table)``.
+    Crossings, where present, are resolved; clasp boxes are not allowed
+    here (``clasp.eval_box_web`` expands them one at a time and hands each
+    box-free piece here).  A whole web is never keyed: it is split into
+    connected components by ``Web.closed_components``, and each component's
+    value is kept in ``eval_memo(table)``.
     """
     table = table or default_table()
     memo = eval_memo(table)
@@ -363,8 +360,6 @@ def eval_closed(w, table: RuleTable = None) -> RationalFunction:
             raise ValueError("eval_closed needs a closed web")
         if web.has_kind("clasp"):
             raise ValueError("expand clasp boxes before closed evaluation")
-        if web.has_kind("tet"):
-            web = expand_tetravalent(web)
         work = resolve_crossings(web, table) if web.has_kind("cross") else [(_ONE, web)]
         for c, ww in work:
             total = total + coeff * c * _eval_plain(ww, table, memo)
@@ -408,7 +403,7 @@ def eval_memo(table: RuleTable) -> dict:
 
 
 # --------------------------------------------------------------------------
-# crossings and tetravalent vertices
+# crossings
 
 
 def resolve_crossings(w, table: RuleTable = None) -> WebSum:
@@ -461,17 +456,6 @@ def _smooth(web: Web, v, table: RuleTable):
     ))
     webs = _splice(web, {v}, list(legs), [term_a, term_b, _bridge(p0)])
     return list(zip(table.crossing, webs))
-
-
-def expand_tetravalent(w: Web) -> Web:
-    """Rewrite each formal tetravalent vertex into its defining pair of
-    trivalent vertices bridged by a double edge, along the marked axis."""
-    w = w.copy()
-    while True:
-        v = _first_vertex(w, "tet")
-        if v is None:
-            return w
-        w = _splice(w, {v}, list(w.vlegs[v]), [_bridge(w.vextra[v][1] % 2)])[0]
 
 
 def _bridge(a):

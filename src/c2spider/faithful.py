@@ -82,7 +82,14 @@ class CurveWalk:
 
     @staticmethod
     def from_json(data, spine: Spine) -> "CurveWalk":
-        return CurveWalk(spine, tuple((int(v), int(e)) for v, e in data["steps"]))
+        """The walk of a ``to_json`` record on the spine.  A missing or
+        malformed ``steps`` field raises ValueError naming it."""
+        try:
+            steps = tuple((int(v), int(e)) for v, e in data["steps"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"walk field 'steps' is missing or malformed "
+                             f"({type(exc).__name__}: {exc})") from exc
+        return CurveWalk(spine, steps)
 
 
 def check_graph_geodesic(walk: CurveWalk):
@@ -127,18 +134,6 @@ def _empty_vertex(triples: list, k: int):
     return next((v for v, (a, b, c) in enumerate(triples)
                  if not triple_multiplicity((a, 0), (b, 0), (c, 0), level=k)),
                 None)
-
-
-def min_level(walk: CurveWalk) -> int:
-    """Smallest k >= max(p_e, 1) at which Kac-Walton fusion finds no empty
-    vertex space.  A graph geodesic has admissible triples, so the search
-    stops once every vertex sum is at most 2k."""
-    p, _ = complexity(walk)
-    triples = _vertex_triples(walk, p)
-    k = max(max(p.values()), 1)
-    while _empty_vertex(triples, k) is not None:
-        k += 1
-    return k
 
 
 @dataclass

@@ -52,6 +52,9 @@ class Spine:
             if self.n_vertices or self.edges:
                 raise ValueError("the circle spine has no vertices or edges")
             return
+        if 2 * len(self.edges) != 3 * self.n_vertices:   # before sizing by n_vertices
+            raise ValueError(f"a trivalent spine on {self.n_vertices} vertices has "
+                             f"3n/2 edges, not {len(self.edges)}")
         deg = [0] * self.n_vertices
         for u, v in self.edges:
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
@@ -102,9 +105,19 @@ class Spine:
 
     @staticmethod
     def from_json(data) -> "Spine":
-        sp = Spine(int(data["vertices"]),
-                   tuple((int(u), int(v)) for u, v in data["edges"]),
-                   circle=bool(data.get("circle", False)))
+        """The spine of a ``to_json`` record, validated.  A missing or
+        malformed field raises ValueError naming it."""
+        field = "vertices"
+        try:
+            n_vertices = int(data[field])
+            field = "edges"
+            edges = tuple((int(u), int(v)) for u, v in data[field])
+            field = "circle"
+            circle = bool(data.get(field, False))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"spine field {field!r} is missing or malformed "
+                             f"({type(exc).__name__}: {exc})") from exc
+        sp = Spine(n_vertices, edges, circle=circle)
         sp.validate()
         return sp
 
@@ -303,26 +316,33 @@ def act_on_curve(word, curve):
 
 
 @lru_cache(maxsize=None)
-def _word_reaching(curve, limit=12):
-    """Shortest word in {'s', 't'} mapping the meridian to the given class."""
+def _word_reaching(curve):
+    """Shortest word in {'s', 't'} mapping the meridian to the class (p, q)
+    through classes that all lie in the box max(|p'|, |q'|) <= max(|p|, |q|),
+    found by a breadth-first search of that finite box.
+
+    The box holds such a word, by induction on |p| + |q|.  The meridian
+    (1, 0) needs none and (0, 1) = s(1, 0).  Write a = |p| and b = |q|;
+    every other class is the image of a class with smaller |p| + |q|: if
+    pq > 0 and a >= b, then (a, b) = t(a - b, b); if pq > 0 and a < b, then
+    (a, b) = tst(a, b - a); and if pq < 0, then (a, -b) = s(b, a), one of
+    the two cases before.  No class on these ways has a coordinate above
+    max(a, b)."""
     curve = normalize_curve(*curve)
+    bound = max(map(abs, curve))
     frontier = {MERIDIAN: ()}
     seen = dict(frontier)
-    for _ in range(limit):
-        if curve in seen:
-            return seen[curve]
+    while frontier and curve not in seen:
         nxt = {}
         for cls, word in frontier.items():
             for g in ("s", "t"):
                 new = act_on_curve((g,), cls)
-                if new not in seen:
+                if new not in seen and max(map(abs, new)) <= bound:
                     # prepend: the new word acts after the old one
                     nxt[new] = (g,) + word
         seen.update(nxt)
         frontier = nxt
-    if curve in seen:
-        return seen[curve]
-    raise ValueError(f"curve {curve} not reached within word length {limit}")
+    return seen[curve]
 
 
 def _meridian_eigenvalues(md: ModularData) -> list:

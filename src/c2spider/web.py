@@ -8,14 +8,12 @@ Edges carry a type, ``'s'`` (single strand) or ``'d'`` (double strand).
 Vertex kinds:
 
 * ``tri`` -- the generating trivalent vertex: two single legs, one double leg.
-* ``tet`` -- a formal tetravalent vertex on four single legs; carries an
-  ``axis`` marker selecting which adjacent leg pairs merge when it is expanded
-  into a pair of trivalent vertices bridged by a double edge.
 * ``cross`` -- a formal crossing of two single strands; ``over`` in the extra
   data records which diagonal (legs 0,2 or legs 1,3 in cyclic position) passes
   over.
-* ``clasp`` -- an opaque projector box with weight ``(a, b)``; legs are the
-  ``n`` input strands followed by the ``n`` output strands in boundary order.
+* ``clasp`` -- an opaque box for the projector of weight (n, 0), with extra
+  data ``(n,)``; its legs are the n single input strands followed by the n
+  single output strands in boundary order.
 
 Boundary convention: the boundary word is read counterclockwise and splits as
 inputs left-to-right followed by outputs right-to-left, so a morphism web with
@@ -183,15 +181,22 @@ class Web:
 
     # -- validation ----------------------------------------------------------
 
-    _LEG_PATTERNS = {
-        "tri": ("s", "s", "d"),
-        "tet": ("s", "s", "s", "s"),
-        "cross": ("s", "s", "s", "s"),
+    # kind -> (sorted leg types, the extra data it may carry)
+    _PATTERNS = {
+        "tri": (["d", "s", "s"], [()]),
+        "cross": (["s"] * 4, [("over", 0), ("over", 1)]),
     }
 
     def validate(self):
         """Return None if every structural invariant holds, else the first
         Violation found."""
+        darts = set(self.etype)
+        if set(self.dart_vertex) != darts or not darts.issuperset(self.pair):
+            return Violation("darts", "half-edges, edge types and pairing name different darts")
+        if set(self.vlegs) != set(self.vkind):
+            return Violation("vertex-kind", "a half-edge sits at an undeclared vertex")
+        if any(t not in (SINGLE, DOUBLE) for t in [*self.etype.values(), *self.free_loops]):
+            return Violation("edge-type", "an edge or free loop is neither 's' nor 'd'")
         bset = set(self.boundary)
         if len(bset) != len(self.boundary):
             return Violation("boundary", "repeated dart in boundary word")
@@ -224,19 +229,18 @@ class Web:
             for d in legs:
                 if self.dart_vertex.get(d) != v:
                     return Violation("rotation", f"dart {d} not registered at vertex {v}")
-            kind = self.vkind[v]
+            kind, extra = self.vkind[v], self.vextra[v]
             types = sorted(self.etype[d] for d in legs)
-            if kind in self._LEG_PATTERNS:
-                if types != sorted(self._LEG_PATTERNS[kind]):
+            if kind in self._PATTERNS:
+                want, extras = self._PATTERNS[kind]
+                if types != want or extra not in extras:
                     return Violation("trivalent-pattern" if kind == "tri" else f"{kind}-pattern",
-                                     f"vertex {v} has leg types {types}")
+                                     f"vertex {v} has leg types {types} and extra {list(extra)}")
             elif kind == "clasp":
-                a, b, n_in = self.vextra[v][0], self.vextra[v][1], self.vextra[v][2]
-                want = ["s"] * a + ["d"] * b
-                got_in = sorted(self.etype[d] for d in legs[:n_in])
-                got_out = sorted(self.etype[d] for d in legs[n_in:])
-                if got_in != sorted(want) or got_out != sorted(want):
-                    return Violation("clasp-pattern", f"vertex {v} legs do not match weight ({a},{b})")
+                if len(extra) != 1 or not isinstance(extra[0], int) or extra[0] < 0 \
+                        or types != ["s"] * (2 * extra[0]):
+                    return Violation("clasp-pattern", f"vertex {v} with extra {list(extra)} "
+                                     "is not a box (n,) on 2n single strands")
             else:
                 return Violation("vertex-kind", f"unknown vertex kind {kind!r}")
         # planarity: Euler characteristic 2 on the sphere, per component
@@ -410,8 +414,6 @@ class Web:
                 extra = self.vextra[v]
                 if kind == "cross":
                     extra = ("over", (extra[1] - k) % 2)
-                elif kind == "tet":
-                    extra = ("axis", (extra[1] - k) % 2)
                 elif kind == "clasp":
                     extra = extra + (k,)
                 vrecs.append((kind, extra, tuple(rot)))
@@ -454,28 +456,41 @@ class Web:
 
     @staticmethod
     def from_json(data) -> "Web":
+        """The web of a ``to_json`` record.  A missing or malformed field
+        raises ValueError naming it; ``validate`` checks the structure."""
         w = Web()
-        for rec in data["vertices"]:
-            v = int(rec["id"])
-            w.vkind[v] = rec["kind"]
-            w.vextra[v] = tuple(rec["extra"])
-            w.vlegs[v] = []
-        legs_at = {}
-        for rec in data["half_edges"]:
-            d = int(rec["id"])
-            v = rec["vertex"]
-            w.dart_vertex[d] = None if v is None else int(v)
-            if v is not None:
-                legs_at.setdefault(int(v), []).append((int(rec["position_in_rotation"]), d))
-        for v, ps in legs_at.items():
-            w.vlegs[v] = [d for _, d in sorted(ps)]
-        w.etype = {int(k): v for k, v in data["edge_types"].items()}
-        for d, p in data["pairing"]:
-            w.pair[int(d)] = int(p)
-            w.pair[int(p)] = int(d)
-        w.boundary = [int(d) for d in data["boundary"]]
-        w.n_in = int(data["n_in"])
-        w.free_loops = tuple(data.get("free_loops", []))
+        field = "vertices"
+        try:
+            for rec in data[field]:
+                v = int(rec["id"])
+                w.vkind[v] = str(rec["kind"])
+                w.vextra[v] = tuple(rec["extra"])
+                w.vlegs[v] = []
+            field = "half_edges"
+            legs_at = {}
+            for rec in data[field]:
+                d = int(rec["id"])
+                v = rec["vertex"]
+                w.dart_vertex[d] = None if v is None else int(v)
+                if v is not None:
+                    legs_at.setdefault(int(v), []).append((int(rec["position_in_rotation"]), d))
+            for v, ps in legs_at.items():
+                w.vlegs[v] = [d for _, d in sorted(ps)]
+            field = "edge_types"
+            w.etype = {int(k): v for k, v in data[field].items()}
+            field = "pairing"
+            for d, p in data[field]:
+                w.pair[int(d)] = int(p)
+                w.pair[int(p)] = int(d)
+            field = "boundary"
+            w.boundary = [int(d) for d in data[field]]
+            field = "n_in"
+            w.n_in = int(data[field])
+            field = "free_loops"
+            w.free_loops = tuple(data.get(field, []))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"web field {field!r} is missing or malformed "
+                             f"({type(exc).__name__}: {exc})") from exc
         w._next_dart = max(w.etype, default=-1) + 1
         w._next_vertex = max(w.vkind, default=-1) + 1
         return w
@@ -569,15 +584,12 @@ def crossing_web(positive: bool = True) -> Web:
     return w
 
 
-def clasp_box_web(a: int, b: int = 0) -> Web:
-    """Opaque clasp box of weight (a, b) as a morphism on a singles and b
-    doubles (inputs bottom, outputs top)."""
-    types = ["s"] * a + ["d"] * b
-    n = len(types)
+def clasp_box_web(n: int) -> Web:
+    """Opaque clasp box of weight (n, 0) as a morphism on n single strands
+    (inputs bottom, outputs top)."""
     w = Web()
-    _, darts = w.add_vertex("clasp", types + list(reversed(types)),
-                            extra=(a, b, n))
-    bdarts = [w.new_dart(w.etype[d]) for d in darts]
+    _, darts = w.add_vertex("clasp", ["s"] * (2 * n), extra=(n,))
+    bdarts = [w.new_dart("s") for _ in darts]
     for d, bd in zip(darts, bdarts):
         w.connect(d, bd)
     w.boundary = bdarts
@@ -668,8 +680,8 @@ def mirror(w: Web) -> Web:
         out.vlegs[v] = list(reversed(out.vlegs[v]))
         # 'cross' extras stay put: reversing the rotation moves the over
         # strand to the other diagonal slot while the reflection swaps over
-        # and under, so the stored flag is unchanged.  'tet' axis pairs and
-        # the clasp side split are likewise preserved by pure reversal.
+        # and under, so the stored flag is unchanged.  The clasp side split
+        # is likewise preserved by pure reversal.
     out.boundary = list(reversed(w.boundary))
     out.n_in = len(w.boundary) - w.n_in
     return out

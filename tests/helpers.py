@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from c2spider import faithful as ff
 from c2spider import web as wb
 from c2spider.tqft import Spine
 
@@ -27,6 +28,18 @@ def as_laurent(r):
     """A rational function that is a Laurent polynomial, as that polynomial."""
     assert r.is_poly(), r
     return r.num
+
+
+def min_level(walk: ff.CurveWalk) -> int:
+    """Smallest k >= max(p_e, 1) at which Kac-Walton fusion finds no empty
+    vertex space.  A graph geodesic has admissible triples, so the search
+    stops once every vertex sum is at most 2k."""
+    p, _ = ff.complexity(walk)
+    triples = ff._vertex_triples(walk, p)
+    k = max(max(p.values()), 1)
+    while ff._empty_vertex(triples, k) is not None:
+        k += 1
+    return k
 
 
 def dominates(x, y) -> bool:

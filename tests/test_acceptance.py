@@ -20,7 +20,7 @@ from c2spider.cache import ClaspCache
 from c2spider.ring import DenominatorVanishes, RationalFunction as RF, specialize
 from c2spider.rules import default_table
 from c2spider.tqft import Spine, mat_identity, mat_mul, mat_scale_columns
-from helpers import dominates, dumbbell, eval_at_one, loop_web, proportional
+from helpers import dominates, dumbbell, eval_at_one, loop_web, min_level, proportional
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +189,7 @@ def test_criterion_9_detection_machinery():
             continue
         _, m = faithful.complexity(walk)
         assert m <= 12
-        k0 = faithful.min_level(walk)
+        k0 = min_level(walk)
         for k in (k0, k0 + 1, k0 + 3):
             cert = faithful.certify_detection(walk, k)
             assert cert.conclusion == "detected"

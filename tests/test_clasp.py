@@ -30,12 +30,12 @@ def ctx(tmp_path_factory):
 
 def test_clasp_label_expandable(ctx):
     # clasp labels are plain weights: negative components are refused, and a
-    # mixed box (a, b > 0) is a label that no expansion handles
+    # mixed weight (a, b > 0) has double strands, whose clasps are not built
     with pytest.raises(ValueError):
         cl.clasp_trace((-1, 0), ctx)
     with pytest.raises(ValueError):
         cl.clasp_trace((0, -1), ctx)
-    with pytest.raises(NotImplementedError, match="mixed"):
+    with pytest.raises(NotImplementedError, match="double strands"):
         cl.clasp_trace((1, 1), ctx)
 
 
@@ -45,9 +45,10 @@ def test_expand_base_cases(ctx):
     ((c, w),) = list(p1)
     assert c == RF.coerce(1) and w.n_vertices() == 0
     assert len(cl.clasp_expand(0, "single", ctx)) == 1
-    assert len(cl.clasp_expand(1, "double", ctx)) == 1
-    with pytest.raises(NotImplementedError):
-        cl.clasp_expand(2, "double", ctx)
+    # only single-strand clasps are built
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match="single-strand"):
+            cl.clasp_expand(n, "double", ctx)
 
 
 def test_recursion_coefficients_n2(ctx):
@@ -234,13 +235,14 @@ def test_idempotence_by_direct_composition(ctx):
 def test_traces_match_quantum_dimensions(ctx):
     assert cl.clasp_trace((0, 0), ctx) == RF.coerce(1)
     assert cl.clasp_trace((1, 0), ctx) == ctx.table.loop["s"]
-    assert cl.clasp_trace((0, 1), ctx) == ctx.table.loop["d"]
     # recorded convention: single-strand clasps carry the sign (-1)^n
     for n in (1, 2, 3):
         sign = RF.coerce((-1) ** n)
         assert cl.clasp_trace((n, 0), ctx) == sign * cat.qdim((n, 0))
-    with pytest.raises(NotImplementedError):
-        cl.clasp_trace((0, 2), ctx)
+    # double-strand clasps are not built
+    for weight in ((0, 1), (0, 2)):
+        with pytest.raises(NotImplementedError):
+            cl.clasp_trace(weight, ctx)
 
 
 def test_braid_eigenvalues(ctx):

@@ -169,9 +169,70 @@ def test_cache_gc_cli(capsys, tmp_path, monkeypatch):
 
 def test_domain_error_exit_code(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("C2SPIDER_CACHE", str(tmp_path))
-    code, out, err = run(capsys, "clasp", "trace", "--a", "0", "--b", "3")
+    code, out, err = run(capsys, "clasp", "trace", "--a", "-1")
     assert code == 1
-    assert json.loads(err)["error"] == "NotImplementedError"
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_removed_clasp_flags_are_usage_errors():
+    for argv in (["clasp", "expand", "--n", "1", "--kind", "double"],
+                 ["clasp", "trace", "--a", "0", "--b", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+
+def _web_eval_error(capsys, tmp_path, data):
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "web", "eval", "--web", str(path))
+    assert code == 1 and not out
+    return json.loads(err)
+
+
+def test_web_eval_refuses_what_no_code_builds(capsys, tmp_path, monkeypatch):
+    # a 'tet' vertex, an old-form box extra [a, b, n] and a box on double
+    # strands each exit 1 with a JSON report, not a traceback
+    monkeypatch.setenv("C2SPIDER_CACHE", str(tmp_path))
+    boxed = wb.trace_closure(wb.clasp_box_web(2)).to_json()
+    tet = json.loads(json.dumps(boxed))
+    tet["vertices"][0]["kind"] = "tet"
+    old_form = json.loads(json.dumps(boxed))
+    old_form["vertices"][0]["extra"] = [2, 0, 2]
+    double_legs = json.loads(json.dumps(boxed))
+    double_legs["edge_types"] = {d: "d" for d in double_legs["edge_types"]}
+    for data, kind in ((tet, "vertex-kind"), (old_form, "clasp-pattern"),
+                       (double_legs, "clasp-pattern")):
+        report = _web_eval_error(capsys, tmp_path, data)
+        assert report["error"] == "ValueError"
+        assert report["message"].startswith(f"invalid web: {kind}"), report
+
+
+def test_malformed_web_file_is_a_domain_error(capsys, tmp_path):
+    report = _web_eval_error(capsys, tmp_path, {"vertices": []})
+    assert report["error"] == "ValueError"
+    assert "'half_edges'" in report["message"]
+
+
+def test_malformed_spine_file_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "spine.json"
+    path.write_text(json.dumps({"vertices": 2}))
+    code, out, err = run(capsys, "tqft", "dim", "--spine", str(path), "--level", "1")
+    assert code == 1 and not out
+    report = json.loads(err)
+    assert report["error"] == "ValueError" and "'edges'" in report["message"]
+
+
+def test_malformed_walk_file_is_a_domain_error(capsys, tmp_path):
+    spine_path = tmp_path / "theta.json"
+    spine_path.write_text(json.dumps(Spine.theta_graph().to_json()))
+    walk_path = tmp_path / "walk.json"
+    walk_path.write_text(json.dumps({"steps": 5}))
+    code, out, err = run(capsys, "faithful", "certify", "--spine", str(spine_path),
+                         "--walk", str(walk_path), "--level", "1")
+    assert code == 1 and not out
+    report = json.loads(err)
+    assert report["error"] == "ValueError" and "'steps'" in report["message"]
 
 
 def test_usage_error_exit_code():

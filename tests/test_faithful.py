@@ -7,7 +7,7 @@ import pytest
 
 from c2spider import faithful as ff
 from c2spider.tqft import Spine
-from helpers import dumbbell
+from helpers import dumbbell, min_level
 
 
 def theta_walk():
@@ -58,12 +58,12 @@ def test_doubling_doubles():
 
 def test_min_level_arithmetic():
     # m = 2, max p = 1: both vertex spaces are nonzero at level 1
-    assert ff.min_level(theta_walk()) == 1
+    assert min_level(theta_walk()) == 1
     # m = 4, max p = 2 -> level 2;  m = 10, max p = 4 -> level 4
     db = dumbbell()
     w4 = ff.CurveWalk(db, ((0, 0), (0, 1), (1, 2), (1, 1)))
     assert ff.complexity(w4)[1] == 4
-    assert ff.min_level(w4) == 2
+    assert min_level(w4) == 2
     w10 = ff.CurveWalk(db, tuple(((0, 0), (0, 1), (1, 2), (1, 1)) * 2)
                        + ((0, 0), (0, 1), (1, 2), (1, 1)))
     p, m = ff.complexity(w10)
@@ -101,7 +101,7 @@ def test_vertex_space_decided_by_kac_walton():
         ff.certify_detection(walk, 2)
     assert err.value.check == "vertex-space"
     assert ff.certify_detection(walk, 3).conclusion == "detected"
-    assert ff.min_level(walk) == 3
+    assert min_level(walk) == 3
 
 
 def test_certify_rejects_backtracking():
@@ -144,7 +144,7 @@ def test_monotonicity_in_level():
         walk = ff.random_geodesic_walk(spine, rng, max_m=12)
         if walk is None:
             continue
-        k0 = ff.min_level(walk)
+        k0 = min_level(walk)
         for k in range(k0, k0 + 3):
             assert ff.certify_detection(walk, k).conclusion == "detected"
         if k0 > 1:

@@ -4,6 +4,7 @@ import functools
 import gc
 import itertools
 import json
+import math
 import random
 import time
 
@@ -85,6 +86,8 @@ def test_spine_validation():
         Spine(2, ((0, 1), (0, 1))).validate()        # degree 2
     with pytest.raises(ValueError):
         Spine(4, ((0, 1), (0, 1), (0, 1), (2, 3), (2, 3), (2, 3))).validate()
+    with pytest.raises(ValueError, match="3n/2 edges"):   # before sizing by n
+        Spine(10 ** 7, ()).validate()
 
 
 def test_spine_genus():
@@ -253,6 +256,50 @@ def test_longitude_operator_is_fusion_with_the_fundamental():
             fd = cat.fusion_dict((1, 0), lam, level=k)
             for j, mu in enumerate(md.simples):
                 assert op[i][j] == fd.get(mu, 0), (k, lam, mu)
+
+
+def _words_within(limit=12):
+    """The length reference: class -> word found by the breadth-first search
+    over all classes, stopped after ``limit`` letters."""
+    frontier = {tqft.MERIDIAN: ()}
+    seen = dict(frontier)
+    for _ in range(limit):
+        nxt = {}
+        for cls, word in frontier.items():
+            for g in ("s", "t"):
+                new = tqft.act_on_curve((g,), cls)
+                if new not in seen:
+                    nxt[new] = (g,) + word
+        seen.update(nxt)
+        frontier = nxt
+    return seen
+
+
+def test_word_reaching_every_class_in_the_box():
+    # every primitive class with |p|, |q| <= 25 is reached, and where the
+    # unbounded search reaches it within 12 letters, by a word as short
+    classes = {normalize_curve(p, q) for p in range(26) for q in range(-25, 26)
+               if math.gcd(p, q) == 1}
+    reference = _words_within()
+    for curve in classes:
+        word = tqft._word_reaching(curve)
+        assert tqft.act_on_curve(word, tqft.MERIDIAN) == curve
+        if curve in reference:
+            assert len(word) == len(reference[curve]), curve
+    assert len(classes) == 800 and len(reference.keys() & classes) == 148
+
+
+def test_conjugation_of_curves_past_twelve_letters():
+    # these classes need more than 12 letters from the meridian
+    reference = _words_within()
+    for curve in ((13, 1), (1, 13), (21, 13)):
+        assert curve not in reference
+        image = tqft.act_on_curve(("t",), curve)
+        for k in (1, 2):
+            assert tqft.conjugation_identity_holds(("t",), curve, k), (curve, k)
+            m = word_matrix(cat.modular_data(k), ("t",))
+            assert mat_mul(m, curve_operator_torus(curve, k)) \
+                == mat_mul(curve_operator_torus(image, k), m), (curve, k)
 
 
 def test_twist_fixes_meridian_operator():

@@ -30,18 +30,6 @@ def rotate(w, steps):
     return out
 
 
-def tetravalent_web(axis=0):
-    """Formal tetravalent vertex on four single legs, two in and two out."""
-    w = wb.Web()
-    _, darts = w.add_vertex("tet", ["s"] * 4, extra=("axis", axis % 2))
-    bdarts = [w.new_dart("s") for _ in darts]
-    for d, b in zip(darts, bdarts):
-        w.connect(d, b)
-    w.boundary = bdarts
-    w.n_in = 2
-    return w
-
-
 def theta_web():
     th = wb.Web()
     _, d1 = th.add_vertex("tri", ["s", "s", "d"])
@@ -108,6 +96,25 @@ def test_validate_planarity():
     assert bad and bad.kind == "planarity"
 
 
+def test_validate_refuses_what_no_code_builds():
+    # only single-strand boxes (n,) are webs; a 'tet' vertex is no kind at all
+    boxed = wb.trace_closure(wb.clasp_box_web(2))
+    assert boxed.validate() is None
+    tet = boxed.copy()
+    tet.vkind[0] = "tet"
+    old_form = boxed.copy()
+    old_form.vextra[0] = (2, 0, 2)
+    too_few_legs = boxed.copy()
+    too_few_legs.vextra[0] = (3,)
+    double_legs = wb.trace_closure(wb.clasp_box_web(1))
+    for d in double_legs.etype:
+        double_legs.etype[d] = "d"
+    for w, kind in ((tet, "vertex-kind"), (old_form, "clasp-pattern"),
+                    (too_few_legs, "clasp-pattern"), (double_legs, "clasp-pattern")):
+        bad = w.validate()
+        assert bad and bad.kind == kind, (bad, kind)
+
+
 def test_compose_tensor_rotate_identities():
     i1 = wb.id_web(["s"])
     i2 = wb.id_web(["s", "s"])
@@ -120,7 +127,7 @@ def test_compose_tensor_rotate_identities():
 
 def test_json_roundtrip_bit_exact():
     for w in (theta_web(), wb.crossing_web(True), wb.clasp_box_web(2),
-              tetravalent_web(1), wb.id_web(["s", "d"])):
+              wb.id_web(["s", "d"])):
         blob = json.dumps(w.to_json(), sort_keys=True)
         again = wb.Web.from_json(json.loads(blob))
         assert json.dumps(again.to_json(), sort_keys=True) == blob
@@ -373,32 +380,6 @@ def test_hopf_link_matches_smatrix():
         i_v = md.index((1, 0))
         ratio = md.s_tilde[i_v][i_v] / md.s_tilde[0][0]
         assert specialize(val, md.order) == ratio
-
-
-# -- tetravalent vertices --------------------------------------------------------
-
-
-def test_expand_tetravalent_trivial():
-    w = theta_web()
-    assert eng.expand_tetravalent(w).canonical_key() == w.canonical_key()
-
-
-def test_expand_tetravalent_is_the_bridge():
-    t = tetravalent_web(0)
-    expanded = eng.expand_tetravalent(t)
-    assert not expanded.has_kind("tet")
-    assert expanded.n_vertices() == 2
-    types = sorted(expanded.etype[d] for d, p in expanded.pair.items()
-                   if expanded.dart_vertex[d] is not None
-                   and expanded.dart_vertex[p] is not None and d < p)
-    assert types == ["d"]
-
-
-def test_tetravalent_expansion_commutes_with_closure():
-    t = tetravalent_web(0)
-    closed_then_expand = eval_closed(wb.trace_closure(t))
-    expand_then_close = eval_closed(wb.trace_closure(eng.expand_tetravalent(t)))
-    assert closed_then_expand == expand_then_close
 
 
 def test_rule_table_hash_changes_with_content():

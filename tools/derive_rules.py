@@ -601,25 +601,11 @@ def main(out_path=None):
         webs = eng._splice(web, {u, v}, ports, terms)
         return list(zip(coeffs, webs))
 
-    def encode_mini(diagram, portmap):
-        vids = sorted(diagram.vkind)
-        vindex = {v: i for i, v in enumerate(vids)}
-        verts = tuple((diagram.vkind[v],
-                       tuple(diagram.etype[d] for d in diagram.vlegs[v]),
-                       diagram.vextra[v]) for v in vids)
-
-        def end(d):
-            if diagram.dart_vertex[d] is None:
-                return ("x", portmap[d])
-            v = diagram.dart_vertex[d]
-            return ("v", vindex[v], diagram.vlegs[v].index(d))
-
-        edges = []
-        for d, p in sorted(diagram.pair.items()):
-            if d < p:
-                edges.append((end(d), end(p), diagram.etype[d]))
-        assert not diagram.free_loops
-        return (verts, tuple(edges))
+    def on_ports(diagram, portmap):
+        """A copy whose boundary word lists the darts in port order."""
+        out = diagram.copy()
+        out.boundary = sorted(portmap, key=portmap.get)
+        return out
 
     def derive_face(word, table):
         w = polygon_web(word)
@@ -642,9 +628,8 @@ def main(out_path=None):
                 total = total + eng.reduce_sum(eng.WebSum.from_web(w2, coeff),
                                                table=table)
             if all(not d.faces() for _, d in total):
-                return rl.FaceRule(word_traced,
-                                   tuple((coeff, encode_mini(d, portmap))
-                                         for coeff, d in total))
+                return rl.FaceRule(word_traced, tuple(
+                    (coeff, eng.to_mini(on_ports(d, portmap))) for coeff, d in total))
         raise AssertionError(f"face {word} did not reduce to basis webs")
 
     table = rl.RuleTable(loop, base_rules)
