@@ -137,16 +137,24 @@ def _websum_to_json(ws: WebSum):
 
 
 def _websum_from_json(data) -> WebSum:
+    """The sum of a ``_websum_to_json`` record; ValueError for anything else."""
     out = WebSum()
-    for t in data["terms"]:
-        out.add(RationalFunction.from_json(t["coeff"]), wb.Web.from_json(t["web"]))
+    try:
+        if data["schema"] != "c2spider/websum/1":
+            raise ValueError(f"schema {data['schema']!r}")
+        for t in data["terms"]:
+            out.add(RationalFunction.from_json(t["coeff"]), wb.Web.from_json(t["web"]))
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError) as exc:
+        raise ValueError(f"not a websum record ({type(exc).__name__}: {exc})") from exc
     return out
 
 
 def clasp_expand(n: int, kind: str = "single", ctx: ClaspContext = None) -> WebSum:
     """The projector (n, 0) on n parallel single strands as a sum of plain
     webs: for n >= 2, ``expand_boxes`` of one open box, memoized in process
-    and on disk.  ``kind`` must be "single", the only kind built."""
+    and on disk.  A disk record that is not a websum is a miss, and is
+    rewritten.  ``kind`` must be "single", the only kind built."""
     if n < 0:
         raise ValueError("strand count must be nonnegative")
     if kind != "single":
@@ -156,14 +164,17 @@ def clasp_expand(n: int, kind: str = "single", ctx: ClaspContext = None) -> WebS
     memo_key = (ctx.table.table_hash(), kind, n)
     if memo_key in _MEMO:
         return _MEMO[memo_key]
-    cached = ctx.cache.get(ctx._key(n, kind)) if n >= 2 else None
     if n <= 1:
         ws = WebSum.from_web(_id(n))
-    elif cached is not None:
-        ws = _websum_from_json(cached)
     else:
-        ws = expand_boxes(wb.clasp_box_web(n), ctx)
-        ctx.cache.put(ctx._key(n, kind), _websum_to_json(ws))
+        cached = ctx.cache.get(ctx._key(n, kind))
+        try:
+            ws = None if cached is None else _websum_from_json(cached)
+        except ValueError:
+            ws = None
+        if ws is None:
+            ws = expand_boxes(wb.clasp_box_web(n), ctx)
+            ctx.cache.put(ctx._key(n, kind), _websum_to_json(ws))
     _MEMO[memo_key] = ws
     return ws
 
@@ -179,13 +190,14 @@ def recursion_coefficients(n: int):
     return c1, c2
 
 
+@functools.cache
 def clasp_poles(n: int) -> frozenset:
     """The orders N of the roots of unity at which P_n does not exist.
 
     The recursion builds P_n from the coefficients c1(m) and c2(m) for
     2 <= m <= n, so N is a pole order when Phi_N divides the reduced
     denominator of one of them.  Nothing is expanded.  P_0 and P_1 are
-    identities and have none.
+    identities and have none.  Cached by n: it depends on n only.
     """
     if n < 0:
         raise ValueError("strand count must be nonnegative")
@@ -572,11 +584,11 @@ def braid_eigenvalue(word, n: int, ctx: ClaspContext = None,
     coeff_a = ctx.table.crossing[0]
     if verify:
         memo = eng.eval_memo(ctx.table)
-        box = wb.clasp_box_web(n)
         for g in dict.fromkeys(word):
             if ("braid", n, g) in memo:
                 continue
             value = coeff_a ** (1 if g > 0 else -1)
+            box = wb.clasp_box_web(n)
             web = wb.compose(braid_web([g], n), box)
             diff = prune_box_sum(WebSum.from_web(web), ctx) - WebSum.from_web(box, value)
             if not diff.is_zero():

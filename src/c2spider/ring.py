@@ -593,6 +593,12 @@ class RationalFunction:
         return RationalFunction.coerce(other) / self
 
     def __pow__(self, n: int):
+        num = self.num.num
+        if len(num) == 1 and _is_one(self.den):
+            # a monomial c q^e: its power c^n q^(en) is again a monomial
+            (e, c), = num.items()
+            c = Fraction(c, self.num.den) ** n
+            return _rf(_laurent_raw({e * n: c.numerator}, c.denominator), self.den)
         if n < 0:
             return RationalFunction.coerce(1) / (self ** (-n))
         return _power(self, n, RationalFunction.coerce(1))

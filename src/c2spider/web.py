@@ -274,12 +274,16 @@ class Web:
 
         The part reachable from the boundary is encoded by one breadth-first
         sweep rooted at the boundary basepoint.  Each closed component is
-        encoded from every dart of its rarest edge type (fewest darts, ties to
-        ``'d'``) and the least encoding is kept, comparing the edge list
-        first.  A sweep from one dart determines the rooted map, and an
-        isomorphism of components maps the darts of one edge type onto the
-        darts of that type, so the two components have the same set of
-        candidate encodings: the minimum over that class is still a complete
+        encoded from a class of root darts and the least encoding is kept,
+        comparing the edge list first.  A component with clasp boxes is rooted
+        at leg 0 of each of its largest boxes; one without is rooted at every
+        dart of its rarest edge type (fewest darts, ties to ``'d'``).  A sweep
+        from one dart determines the rooted map, and a sweep records the index
+        of the leg by which it enters each box, so the isomorphisms the key
+        recognizes keep box sizes, leg indices and edge types.  Such an
+        isomorphism of components maps the root class of one onto the root
+        class of the other, so the two have the same set of candidate
+        encodings: the minimum over that class is still a complete
         invariant."""
         if self._ckey is not None:
             return self._ckey
@@ -340,19 +344,29 @@ class Web:
         return comp
 
     def _encode_closed(self, comp):
-        """Least sweep encoding of a closed component over the darts of its
-        rarest edge type, edge list first (see ``_encode_sweep``)."""
-        count = {}
+        """Least sweep encoding of a closed component, edge list first (see
+        ``_encode_sweep``), over the leg-0 darts of its largest boxes or, with
+        no box, over the darts of its rarest edge type."""
+        boxes = {}
         for d in comp:
-            t = self.etype[d]
-            count[t] = count.get(t, 0) + 1
-        rare = min(count, key=lambda t: (count[t], t))
+            v = self.dart_vertex[d]
+            if v is not None and self.vkind[v] == "clasp":
+                boxes[v] = self.vextra[v][0]
+        if boxes:
+            top = max(boxes.values())
+            roots = [self.vlegs[v][0] for v, n in boxes.items() if n == top]
+        else:
+            count = {}
+            for d in comp:
+                t = self.etype[d]
+                count[t] = count.get(t, 0) + 1
+            rare = min(count, key=lambda t: (count[t], t))
+            roots = [r for r in comp if self.etype[r] == rare]
         best = None
-        for r in comp:
-            if self.etype[r] == rare:
-                enc = self._encode_sweep({r: 0}, best)
-                if enc is not None:
-                    best = enc
+        for r in roots:
+            enc = self._encode_sweep({r: 0}, best)
+            if enc is not None:
+                best = enc
         return best
 
     def _encode_sweep(self, order, best=None):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -792,3 +793,102 @@ def test_cache_roundtrip_and_gc(tmp_path):
     assert report["removed"] == 1 and report["kept"] >= 1
     report2 = cache_gc(root, table.table_hash())
     assert report2["removed"] == 0
+
+
+def _reference_key(web):
+    """Reference for canonical_key: each closed component is rooted at every
+    dart of its rarest edge type, boxes or not (in a box web with no double
+    edge, at every dart), and the least encoding is kept."""
+    order = {d: i for i, d in enumerate(web.boundary)}
+    main = web._encode_sweep(order) if order else ()   # extends order
+    comps = []
+    for comp in web._components(set(web.etype).difference(order)):
+        count = {t: sum(web.etype[d] == t for d in comp) for t in ("s", "d")}
+        rare = min((t for t in count if count[t]), key=lambda t: (count[t], t))
+        comps.append(min(web._encode_sweep({r: 0}) for r in comp if web.etype[r] == rare))
+    return web.free_loops, web.n_in, main, tuple(sorted(comps))
+
+
+def _relabelled(web, rng):
+    """A copy of the web through to_json/from_json, its dart and vertex ids
+    permuted."""
+    data = web.to_json()
+    darts = [int(d) for d in data["edge_types"]]
+    dmap = dict(zip(darts, rng.sample(range(3 * len(darts)), len(darts))))
+    verts = [rec["id"] for rec in data["vertices"]]
+    vmap = dict(zip(verts, rng.sample(range(3 * len(verts)), len(verts))))
+    data["vertices"] = [dict(rec, id=vmap[rec["id"]]) for rec in data["vertices"]]
+    data["half_edges"] = [dict(rec, id=dmap[rec["id"]],
+                               vertex=None if rec["vertex"] is None else vmap[rec["vertex"]])
+                          for rec in data["half_edges"]]
+    data["pairing"] = [[dmap[d], dmap[p]] for d, p in data["pairing"]]
+    data["edge_types"] = {str(dmap[int(d)]): t for d, t in data["edge_types"].items()}
+    data["boundary"] = [dmap[d] for d in data["boundary"]]
+    return wb.Web.from_json(data)
+
+
+def _turned(web, v):
+    """The web with box v turned by one leg: its leg 1 becomes leg 0."""
+    out = web.copy()
+    out.vlegs[v] = out.vlegs[v][1:] + out.vlegs[v][:1]
+    return out
+
+
+def test_box_rooted_keys_are_complete(ctx, monkeypatch):
+    # the closed box webs of four thetas, relabelled copies of them and
+    # copies with one box turned: two webs share a key exactly when they
+    # share the reference key
+    monkeypatch.setattr(eng, "_EVAL_MEMO", {})
+    webs = []
+    value = cl.eval_box_web
+
+    def spy(w, *args, **kwargs):
+        if cl._box_positions(w):
+            webs.append(w)
+        return value(w, *args, **kwargs)
+
+    monkeypatch.setattr(cl, "eval_box_web", spy)
+    for t in ((4, 4, 4), (5, 5, 4), (4, 5, 5), (6, 6, 4)):
+        cl.theta_net(*t, ctx)
+    rng = random.Random(1801)
+    copies = [_relabelled(w, rng) for w in webs]
+    turned = [_turned(w, rng.choice(cl._box_positions(w))) for w in webs]
+    for w, c in zip(webs, copies):
+        assert c.canonical_key() == w.canonical_key()
+    pool = webs + copies + turned
+    keys = {(w.canonical_key(), _reference_key(w)) for w in pool}
+    assert len({k for k, _ in keys}) == len({r for _, r in keys}) == len(keys)
+    assert len(keys) > 100
+    theta = cl._theta_web(4, 4, 4)
+    for v in cl._box_positions(theta):
+        turned = _turned(theta, v)
+        assert turned.canonical_key() != theta.canonical_key()
+        assert _reference_key(turned) != _reference_key(theta)
+
+
+def test_closed_box_component_is_swept_once_per_largest_box(monkeypatch):
+    sweeps = []
+    sweep = wb.Web._encode_sweep
+
+    def spy(self, order, *args, **kwargs):
+        sweeps.append(dict(order))
+        return sweep(self, order, *args, **kwargs)
+
+    monkeypatch.setattr(wb.Web, "_encode_sweep", spy)
+    for t, largest in (((4, 4, 4), 3), ((6, 6, 4), 2), ((6, 4, 2), 1)):
+        theta = cl._theta_web(*t)
+        sweeps.clear()
+        theta.canonical_key()
+        roots = {theta.vlegs[v][0] for v in cl._box_positions(theta)
+                 if theta.vextra[v] == (max(t),)}
+        assert len(sweeps) == largest and {r for s in sweeps for r in s} == roots, t
+
+
+def test_proven_braid_letters_build_no_web(ctx, monkeypatch):
+    monkeypatch.setattr(eng, "_EVAL_MEMO", {})
+    assert cl.braid_eigenvalue([1, -2, 2], 3, ctx) == RF.coerce(q(1))
+    built = []
+    monkeypatch.setattr(wb, "clasp_box_web", lambda *a: built.append(a))
+    monkeypatch.setattr(cl, "prune_box_sum", lambda *a, **k: built.append(a))
+    assert cl.braid_eigenvalue([2, 1, -2, 2, 1], 3, ctx) == RF.coerce(q(3))
+    assert built == []

@@ -10,7 +10,9 @@ from c2spider import cli, faithful
 from c2spider import clasp as cl
 from c2spider import engine as eng
 from c2spider import web as wb
+from c2spider.cache import ClaspCache
 from c2spider.ring import RationalFunction as RF
+from c2spider.rules import default_table
 from c2spider.tqft import Spine
 
 
@@ -157,6 +159,23 @@ def test_faithful_cli(capsys, tmp_path):
     data = json.loads(out)
     assert len(data["table"]) == 10
     assert all(row["min_level"] >= 1 for row in data["table"])
+
+
+@pytest.mark.parametrize("payload", [{"schema": 1}, {"terms": [{"coeff": 1}]}, [1, 2]])
+def test_malformed_cache_entry_is_a_miss_and_rewritten(capsys, tmp_path, monkeypatch, payload):
+    # each payload is valid JSON but no websum record, and crashed the command
+    key = "clasp-merged-single-2"
+
+    def expand(root):
+        monkeypatch.setattr(cl, "_MEMO", {})
+        code, out, _ = run(capsys, "--cache-dir", str(root), "clasp", "expand", "--n", "2")
+        assert code == 0
+        with open(ClaspCache(str(root), default_table().table_hash())._path(key), "rb") as fh:
+            return out, fh.read()
+
+    fresh = expand(tmp_path / "fresh")
+    ClaspCache(str(tmp_path / "bad"), default_table().table_hash()).put(key, payload)
+    assert expand(tmp_path / "bad") == fresh
 
 
 def test_cache_gc_cli(capsys, tmp_path, monkeypatch):

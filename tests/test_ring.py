@@ -325,6 +325,27 @@ def test_rational_function_ops_match_normalizing_constructor():
         assert (x - x).is_zero() and fields(x - x) == fields(RationalFunction.coerce(0))
 
 
+def repeated_product(x, n):
+    """x ** n as |n| factors, inverted when n < 0."""
+    out = RationalFunction.coerce(1)
+    for _ in range(abs(n)):
+        out = out * x
+    return out if n >= 0 else 1 / out
+
+
+def test_power_is_the_repeated_product():
+    # monomials c q^e take a shortcut; the last two bases are not monomials
+    bases = [RationalFunction.coerce(q(e) * c)
+             for c in (1, -1, 2, -3, Fraction(2, 3), Fraction(-5, 7)) for e in (-2, 0, 1, 3)]
+    bases += [RationalFunction(qint(2), qint(3)), RationalFunction(q(1), qint(2))]
+    for x in bases:
+        for n in range(-5, 6):
+            got, want = x ** n, repeated_product(x, n)
+            assert_rf_canonical(got)
+            assert fields(got) == fields(want), (x, n)
+            assert hash(got) == hash(want)
+
+
 def test_sum_of_unreduced_fractions():
     rng = random.Random(1801)
     for _ in range(30):
