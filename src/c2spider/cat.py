@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .ring import CycNumber, LaurentPoly, RationalFunction, cyc_dot, qint, specialize
+from .ring import (CycNumber, LaurentPoly, RationalFunction, cyc_dot, cyc_matrix_dots,
+                   qint, specialize)
 
 
 class NotSimpleAtLevel(ValueError):
@@ -320,6 +321,23 @@ class ModularData:
         weights = [inv * scale for inv in self.vacuum_inv]
         return [[z * w for z, w in zip(row, weights)] for row in self.s_tilde]
 
+    @cached_property
+    def _row_products(self) -> dict:
+        """(i, j) -> ``row_product(i, j)`` for i <= j, filled as asked; a
+        cached property, not a field, so a copy or a comparison ignores it."""
+        return {}
+
+    def row_product(self, i: int, j: int) -> list:
+        """The entrywise product of rows i and j of S~, the factors of the
+        Verlinde sum that depend on lam and mu.  It is symmetric in i and j,
+        so it is computed once per unordered pair and kept."""
+        key = (i, j) if i <= j else (j, i)
+        row = self._row_products.get(key)
+        if row is None:
+            si, sj = self.s_tilde[i], self.s_tilde[j]
+            row = self._row_products[key] = [x * y for x, y in zip(si, sj)]
+        return row
+
 
 @lru_cache(maxsize=None)
 def modular_data(k: int) -> ModularData:
@@ -334,8 +352,8 @@ def modular_data(k: int) -> ModularData:
       in place of w swaps lam and mu.
     Hence S~ S~+ = S~ S~^T, whose (i, j) entry is the product of rows i and
     j; it is symmetric in i and j, so the rows are multiplied for i <= j
-    only.  All n^2 entries of S~ are computed, so tests can check both
-    properties on them."""
+    only (``_gram_scalar``).  All n^2 entries of S~ are computed, so tests
+    can check both properties on them."""
     if k < 1:
         raise ValueError("level must be at least 1")
     n = q_order(k)
@@ -353,22 +371,33 @@ def modular_data(k: int) -> ModularData:
         raise NonIntegerResult("vacuum S-matrix entry vanishes")
     inv00 = s00.inverse()
     omega = [x * inv00 for x in s_tilde[0]]
-    # S~ S~^T must be a scalar matrix
-    norm = cyc_dot(s_tilde[0], s_tilde[0])
-    for i, row in enumerate(s_tilde):
-        if i and cyc_dot(row, row) != norm:
-            raise NonIntegerResult("S~ S~^T is not a scalar matrix")
-        for other in s_tilde[i + 1:]:
-            if not cyc_dot(row, other).is_zero():
-                raise NonIntegerResult("S~ rows are not orthogonal")
     return ModularData(level=k, order=n, simples=objs, s_tilde=s_tilde,
-                       t_diag=t_diag, omega=omega, s_norm_sq=norm)
+                       t_diag=t_diag, omega=omega, s_norm_sq=_gram_scalar(s_tilde))
+
+
+def _gram_scalar(s) -> CycNumber:
+    """The scalar c with s s^T = c * id, from the row products for i <= j
+    in one packed kernel call (``ring.cyc_matrix_dots``); NonIntegerResult
+    if s s^T is not scalar.  The kernel is exact, not probabilistic: its
+    packing width exceeds n phi(N) max|s|^2, a bound on every coefficient
+    of an unreduced row product, so a nonzero entry cannot read as zero."""
+    pairs = [(i, j) for i in range(len(s)) for j in range(i, len(s))]
+    dots = cyc_matrix_dots(s, s, pairs)
+    norm = dots[0]
+    for (i, j), dot in zip(pairs, dots):
+        if i == j and dot != norm:
+            raise NonIntegerResult("S~ S~^T is not a scalar matrix")
+        if i != j and not dot.is_zero():
+            raise NonIntegerResult("S~ rows are not orthogonal")
+    return norm
 
 
 def verlinde_multiplicity(md: ModularData, lam, mu, nu) -> int:
-    """Fusion multiplicity from the Verlinde formula, exactly."""
-    si, sj = (md.s_tilde[md.index(w)] for w in (lam, mu))
-    acc = cyc_dot([x * y for x, y in zip(si, sj)], md.verlinde_rows[md.index(nu)])
+    """Fusion multiplicity from the Verlinde formula, exactly: one
+    ``cyc_dot`` of the kept ``row_product`` of lam and mu with the Verlinde
+    row of nu."""
+    acc = cyc_dot(md.row_product(md.index(lam), md.index(mu)),
+                  md.verlinde_rows[md.index(nu)])
     r = acc.as_rational()
     if r.denominator != 1 or r < 0:
         raise NonIntegerResult(f"Verlinde number {r} is not a nonnegative integer")

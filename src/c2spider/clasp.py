@@ -153,7 +153,8 @@ def _websum_from_json(data) -> WebSum:
 def clasp_expand(n: int, kind: str = "single", ctx: ClaspContext = None) -> WebSum:
     """The projector (n, 0) on n parallel single strands as a sum of plain
     webs: for n >= 2, ``expand_boxes`` of one open box, memoized in process
-    and on disk.  A disk record that is not a websum is a miss, and is
+    and on disk.  A disk record that is not a websum, or whose identity web
+    does not have coefficient 1 as in every P_n, is a miss, and is
     rewritten.  ``kind`` must be "single", the only kind built."""
     if n < 0:
         raise ValueError("strand count must be nonnegative")
@@ -172,6 +173,10 @@ def clasp_expand(n: int, kind: str = "single", ctx: ClaspContext = None) -> WebS
             ws = None if cached is None else _websum_from_json(cached)
         except ValueError:
             ws = None
+        if ws is not None:
+            ident = ws.terms.get(_id(n).canonical_key())
+            if ident is None or ident[0] != 1:
+                ws = None
         if ws is None:
             ws = expand_boxes(wb.clasp_box_web(n), ctx)
             ctx.cache.put(ctx._key(n, kind), _websum_to_json(ws))

@@ -19,7 +19,12 @@ Three scalar domains, all exact (no floating point):
   q -> q^j (gcd(j, N) = 1) and their product, the norm, a rational integer.
   A sum of products is one kernel, ``cyc_dot``: the integer convolutions of
   all pairs add up over one denominator, then reduce by Phi_N and to lowest
-  terms once.  A single product is the kernel on one pair.
+  terms once.  A single product is the kernel on one pair.  Matrix-shaped
+  sums are ``cyc_matrix_dots``: each coefficient vector is packed once into
+  one integer (Kronecker substitution), at a width above a bound on every
+  coefficient of the unreduced sums, so the result is exact with certainty.
+  ``cyc_dot`` keeps its loop: for a lone short sum packing costs more than
+  it saves.
 
 Quantum integers use the symmetric convention [n] = (q^n - q^-n)/(q - q^-1),
 so [n] specializes to zero at a root of unity of order N exactly when N | 2n.
@@ -750,6 +755,79 @@ def cyc_dot(xs, ys) -> "CycNumber":
                 for j, b in enumerate(yn, i):
                     acc[j] += a * b
     return _cyc(order, _reduce(acc, order), den)
+
+
+def _scaled(vectors, order: int):
+    """Each vector of CycNumbers as (integer coefficient lists over the lcm
+    of its entries' denominators, that lcm), and the largest |coefficient|
+    among them.  Every entry must have the given order."""
+    out, top = [], 0
+    for vec in vectors:
+        den = 1
+        for x in vec:
+            if x.order != order:
+                raise OrderMismatch(f"orders {x.order} and {order} in one matrix product")
+            den = den // gcd(den, x.den) * x.den
+        ints = [x.num if x.den == den else [c * (den // x.den) for c in x.num]
+                for x in vec]
+        for num in ints:
+            top = max(top, max(num), -min(num))
+        out.append((ints, den))
+    return out, top
+
+
+def _pack(num, bits: int) -> int:
+    """The integer sum of num[i] * 2^(bits i), signed coefficients allowed."""
+    v = 0
+    for c in reversed(num):
+        v = (v << bits) + c
+    return v
+
+
+def cyc_matrix_dots(rows, cols, pairs) -> list:
+    """[sum over t of rows[i][t] * cols[j][t] for (i, j) in pairs]: the
+    entries of a matrix-shaped sum of products, each normalized once.
+
+    Kronecker substitution (von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, section 8.4).  Each row and each column is scaled to the lcm of
+    its denominators, and each integer coefficient vector a is packed once
+    as the integer a(2^B).  A product of packed integers is the packed
+    convolution and a sum of them the packed sum.  With n terms per entry,
+    every coefficient of an unreduced entry is a sum of at most n phi(N)
+    products, so its absolute value is at most n phi(N) max|a| max|b|; B is
+    chosen with 2^(B-1) above that bound, so the coefficients are exactly
+    the balanced base-2^B digits of the packed sum.  Each entry is then
+    reduced by Phi_N and put in lowest terms.
+
+    Every entry must have the order of rows[0][0] (OrderMismatch), zeros
+    included.  A lone sum of products is ``cyc_dot``: packing costs more
+    than it saves there (a length-6 dot of two rows of S~ at order 20 took
+    19 us packed against 7 us, Python 3.11 on a shared 2-core host)."""
+    order = rows[0][0].order
+    same = cols is rows     # s s^T: one matrix, packed once
+    rows, top_r = _scaled(rows, order)
+    cols, top_c = (rows, top_r) if same else _scaled(cols, order)
+    deg = _phi_tail(order)[0]
+    n = max(len(nums) for nums, _ in rows)
+    bits = (n * deg * top_r * top_c).bit_length() + 1
+    packed_rows = [[_pack(num, bits) for num in nums] for nums, _ in rows]
+    packed_cols = packed_rows if same else [[_pack(num, bits) for num in nums]
+                                            for nums, _ in cols]
+    zero = _raw(order, (0,) * deg, 1)
+    # half added to every digit makes them all nonnegative: plain base 2^B
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    offset = _pack([half] * (2 * deg - 1), bits)
+    shifts = range(0, bits * (2 * deg - 1), bits)
+    out = []
+    for i, j in pairs:
+        v = sum(a * b for a, b in zip(packed_rows[i], packed_cols[j]) if a and b)
+        if not v:
+            out.append(zero)
+            continue
+        v += offset
+        acc = [((v >> s) & mask) - half for s in shifts]
+        out.append(_cyc(order, _reduce(acc, order), rows[i][1] * cols[j][1]))
+    return out
 
 
 class CycNumber:

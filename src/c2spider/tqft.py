@@ -15,9 +15,11 @@ eigenbasis.  All matrices are exact cyclotomic matrices, kept unnormalized;
 every statement checked downstream is conjugation- or phase-insensitive.
 No inverse is formed: S~ is real and symmetric with S~ S~ = s_norm_sq * id,
 and T is a diagonal of roots of unity, so a word M with #s letters 's' has
-M^-1 = M+ / s_norm_sq^#s; M+ still needs the conjugate, since T is not real
+M^-1 = M+ / s_norm_sq^#s, and M+ is the matrix of the adjoint word: the
+letters reversed, with the twist t and its inverse T swapped
 (B. Bakalov and A. Kirillov, "Lectures on Tensor Categories and Modular
-Functors", AMS 2001, ch. 3).
+Functors", AMS 2001, ch. 3).  The same two facts reduce a word before
+anything is multiplied: 'ss' is a scalar, and 'tT' and 'Tt' cancel.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cat import ModularData, NonIntegerResult, fusion, modular_data, simples
-from .ring import CycNumber, cyc_dot
+from .cat import (ModularData, NonIntegerResult, fusion, modular_data, simples,
+                  twist_exponent)
+from .ring import CycNumber, cyc_dot, cyc_matrix_dots
 
 
 @dataclass(frozen=True)
@@ -240,49 +243,95 @@ def verlinde_dim(genus: int, k: int) -> int:
 
 
 def mat_mul(a, b):
+    """The exact product of two matrices of CycNumbers, by one packed kernel
+    call (``ring.cyc_matrix_dots``)."""
     cols = list(zip(*b))
-    return [[cyc_dot(row, col) for col in cols] for row in a]
-
-
-def mat_scale_columns(a, diag):
-    return [[x * d for x, d in zip(row, diag)] for row in a]
-
-
-def mat_identity(n, order):
-    return [[CycNumber.one(order) if i == j else CycNumber.zero(order)
-             for j in range(n)] for i in range(n)]
+    width = len(cols)
+    flat = cyc_matrix_dots(a, cols, [(i, j) for i in range(len(a)) for j in range(width)])
+    return [flat[i * width:(i + 1) * width] for i in range(len(a))]
 
 
 # -- the torus representation -----------------------------------------------------
 
 
+_ADJOINT = {"s": "s", "t": "T", "T": "t"}
+
+
+def adjoint(word) -> tuple:
+    """The word of the adjoint matrix: the letters reversed, with t and T
+    swapped.  S~ is real and symmetric, so S~+ = S~, and T+ = T-bar = T^-1."""
+    return tuple(_ADJOINT[g] for g in reversed(word))
+
+
+def _reduce_word(word, order: int):
+    """(c, letters): the word as s_norm_sq^c times the product of ``letters``,
+    each 's' or a twist power e with 0 < e < order, no two adjacent letters
+    alike.  'ss' is the scalar, and a run of twists adds up its exponents
+    mod order (t counts 1, T counts -1), so 'tT' and 'Tt' cancel; both
+    reductions act at the end of the reduced prefix, as a stack."""
+    out, squares = [], 0
+    for g in word:
+        if g == "s":
+            if out and out[-1] == "s":
+                out.pop()
+                squares += 1
+            else:
+                out.append("s")
+        elif g in ("t", "T"):
+            e = 1 if g == "t" else -1
+            if out and out[-1] != "s":
+                e += out.pop()
+            if e % order:
+                out.append(e % order)
+        else:
+            raise ValueError(f"unknown torus generator {g!r}")
+    return squares, out
+
+
+def _twist_power(md: ModularData, e: int) -> list:
+    """The diagonal of T^e, one root power per simple."""
+    return [CycNumber.root_power(md.order, e * twist_exponent(w)) for w in md.simples]
+
+
 def word_matrix(md: ModularData, word):
     """Exact unnormalized mapping-class action on the torus state space of a
-    word in {'s', 't'}, read as a composition: the rightmost letter acts
-    first.  An 's' multiplies by ``md.s_tilde``; a 't', the Dehn twist about
-    the meridian, scales the columns by ``md.t_diag``, or the rows if no 's'
-    precedes it, so no product has a diagonal operand.
+    word in {'s', 't', 'T'}, read as a composition: the rightmost letter
+    acts first.  's' is ``md.s_tilde``, 't' the Dehn twist about the
+    meridian, the diagonal ``md.t_diag``, and 'T' its inverse, the diagonal
+    of conjugates T-bar.
+
+    The word is reduced before anything is multiplied (``_reduce_word``),
+    and the result is still the exact dense product.  The reduction rests on
+    two facts: S~ S~ = s_norm_sq * id, which ``cat.modular_data`` checks
+    exactly (S~ is real and symmetric), and T T-bar = id, since T is a
+    diagonal of N-th roots of unity (Bakalov-Kirillov, ch. 3); so T^N = id,
+    and twist exponents add up mod N.  No two 's' of the reduced word are
+    adjacent, so every ``mat_mul`` has S~ and a dense matrix as operands; a
+    twist power between them scales columns, and one before the first 's'
+    scales rows, together with the scalar split off.
 
     Both generators are defined up to a global scalar (the framing phase of
     the twist is tracked projectively, not normalized away), so only
     conjugation-invariant or projective statements are meaningful.  No
     inverse is formed: a word M with #s letters 's' has
-    M M+ = md.s_norm_sq^#s * id."""
-    m, lead = None, 0       # lead: the twists before the first 's'
-    for g in word:
-        if g == "t" and m is None:
-            lead += 1
-        elif g == "t":
-            m = mat_scale_columns(m, md.t_diag)
-        elif g == "s":
+    M M+ = md.s_norm_sq^#s * id, and M+ is the matrix of ``adjoint(word)``."""
+    squares, letters = _reduce_word(word, md.order)
+    n = len(md.simples)
+    lead = [md.s_norm_sq ** squares] * n    # what scales the rows
+    m = None
+    for g in letters:
+        if g == "s":
             m = md.s_tilde if m is None else mat_mul(m, md.s_tilde)
+        elif m is None:
+            lead = [c * d for c, d in zip(lead, _twist_power(md, g))]
         else:
-            raise ValueError(f"unknown torus generator {g!r}")
+            diag = _twist_power(md, g)
+            m = [[d * x for x, d in zip(row, diag)] for row in m]
     if m is None:
-        m = mat_identity(len(md.simples), md.order)
-    if lead:    # T^lead on the left scales the rows
-        powers = [t ** lead for t in md.t_diag]
-        m = [[p * x for x in row] for p, row in zip(powers, m)]
+        zero = CycNumber.zero(md.order)
+        return [[d if i == j else zero for j in range(n)] for i, d in enumerate(lead)]
+    if squares or letters[0] != "s":
+        m = [[d * x for x in row] for d, row in zip(lead, m)]
     return m
 
 
@@ -301,13 +350,15 @@ MERIDIAN = (1, 0)
 
 
 def act_on_curve(word, curve):
-    """Action of a word in {'s', 't'} on an unoriented primitive class:
-    t is the twist about the meridian (p,q) -> (p+q, q); s maps
-    (p,q) -> (-q, p)."""
+    """Action of a word in {'s', 't', 'T'} on an unoriented primitive class:
+    t is the twist about the meridian (p,q) -> (p+q, q), T its inverse
+    (p,q) -> (p-q, q); s maps (p,q) -> (-q, p)."""
     p, q = curve
     for g in reversed(word):
         if g == "t":
             p, q = p + q, q
+        elif g == "T":
+            p, q = p - q, q
         elif g == "s":
             p, q = -q, p
         else:
@@ -355,15 +406,20 @@ def conjugation_identity_holds(word, curve, k: int) -> bool:
     """Check V_h C(gamma) V_h^-1 = C(h(gamma)) exactly, in the meridian
     eigenbasis: C(gamma) = W D W^-1 with W the matrix of the word reaching
     gamma and D the meridian eigenvalues d_i, and W^-1 is W+ up to a nonzero
-    scalar, so the identity holds iff X = W_{h gamma}+ V_h W_gamma, where
-    V_h W_gamma is the concatenated word, has X_ij = 0 wherever d_i != d_j."""
+    scalar, so the identity holds iff X = W_{h gamma}+ V_h W_gamma has
+    X_ij = 0 wherever d_i != d_j.  X is the matrix of one word,
+    adjoint(target) + word + reach, which ``word_matrix`` reduces before it
+    multiplies: target and word + reach both carry the meridian to
+    h(gamma), so they often begin alike, and those letters cancel."""
     md = modular_data(k)
     curve = normalize_curve(*curve)
-    x = word_matrix(md, tuple(word) + _word_reaching(curve))
     target = _word_reaching(act_on_curve(word, curve))
-    if target:      # a shortest nonempty word ends in 's': W is not diagonal
-        w = word_matrix(md, target)
-        x = mat_mul([[v.conj() for v in col] for col in zip(*w)], x)
-    d = _meridian_eigenvalues(md)
-    return all(x[i][j].is_zero() for i, di in enumerate(d)
-               for j, dj in enumerate(d) if di != dj)
+    x = word_matrix(md, adjoint(target) + tuple(word) + _word_reaching(curve))
+    return all(x[i][j].is_zero() for i, j in _distinct_eigenvalue_pairs(k))
+
+
+@lru_cache(maxsize=None)
+def _distinct_eigenvalue_pairs(k: int) -> tuple:
+    """The (i, j) with d_i != d_j, d the meridian eigenvalues at level k."""
+    d = _meridian_eigenvalues(modular_data(k))
+    return tuple((i, j) for i, di in enumerate(d) for j, dj in enumerate(d) if di != dj)

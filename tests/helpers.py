@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from c2spider import faithful as ff
 from c2spider import web as wb
+from c2spider.ring import CycNumber
 from c2spider.tqft import Spine
 
 
@@ -68,3 +69,14 @@ def proportional(a, b):
             elif c != r:
                 return None
     return c
+
+
+def mat_identity(n, order):
+    """The n x n identity matrix over the order-N cyclotomic field."""
+    return [[CycNumber.one(order) if i == j else CycNumber.zero(order)
+             for j in range(n)] for i in range(n)]
+
+
+def mat_scale_columns(a, diag):
+    """a times the diagonal matrix with entries diag."""
+    return [[x * d for x, d in zip(row, diag)] for row in a]

@@ -19,8 +19,9 @@ from c2spider import web as wb
 from c2spider.cache import ClaspCache
 from c2spider.ring import DenominatorVanishes, RationalFunction as RF, specialize
 from c2spider.rules import default_table
-from c2spider.tqft import Spine, mat_identity, mat_mul, mat_scale_columns
-from helpers import dominates, dumbbell, eval_at_one, loop_web, min_level, proportional
+from c2spider.tqft import Spine, mat_mul
+from helpers import (dominates, dumbbell, eval_at_one, loop_web, mat_identity,
+                     mat_scale_columns, min_level, proportional)
 
 
 @pytest.fixture(scope="module")

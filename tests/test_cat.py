@@ -6,9 +6,9 @@ import itertools
 import pytest
 
 from c2spider import cat
-from c2spider.ring import DenominatorVanishes, LaurentPoly, qint, specialize
-from c2spider.tqft import mat_identity, mat_mul
-from helpers import as_laurent, dominates, eval_at_one, proportional
+from c2spider.ring import CycNumber, DenominatorVanishes, LaurentPoly, qint, specialize
+from c2spider.tqft import mat_mul
+from helpers import as_laurent, dominates, eval_at_one, mat_identity, proportional
 
 
 def test_simples():
@@ -159,14 +159,57 @@ def test_modular_data_invariants():
 
 
 def test_verlinde_matches_fusion():
-    for k in (1, 2):
-        md = cat.modular_data(k)
+    for k in (1, 2, 3):
+        md = dataclasses.replace(cat.modular_data(k))    # no row products kept yet
         for lam in md.simples:
             for mu in md.simples:
                 fd = cat.fusion_dict(lam, mu, level=k)
                 for nu in md.simples:
                     assert cat.verlinde_multiplicity(md, lam, mu, nu) == \
                         fd.get(nu, 0)
+        # one row product per unordered pair, kept on the modular data
+        n = len(md.simples)
+        assert len(md._row_products) == n * (n + 1) // 2
+        assert md.row_product(1, 2) is md.row_product(2, 1)
+
+
+def _mutants(s, order):
+    """Copies of s with one nonzero entry changed: by +1, by -1, times a
+    primitive root q, times q^(N/2) = -1.  A zero entry is changed by +-1."""
+    for i, row in enumerate(s):
+        for j, x in enumerate(row):
+            changes = [x + 1, x - 1]
+            if not x.is_zero():
+                changes += [x * CycNumber.root_power(order, e) for e in (1, order // 2)]
+            for y in changes:
+                yield [r if a != i else r[:j] + [y] + r[j + 1:]
+                       for a, r in enumerate(s)]
+
+
+def test_gram_check_rejects_every_perturbed_entry():
+    # the packed S~ S~^T check is the only unitarity oracle of modular_data:
+    # it must refuse S~ with any single entry changed
+    for k in (1, 2):
+        md = cat.modular_data(k)
+        assert cat._gram_scalar(md.s_tilde) == md.s_norm_sq
+        tried = 0
+        for bad in _mutants(md.s_tilde, md.order):
+            with pytest.raises(cat.NonIntegerResult):
+                cat._gram_scalar(bad)
+            tried += 1
+        assert tried >= 3 * len(md.simples) ** 2
+
+
+@pytest.mark.slow
+def test_modular_data_at_levels_14_and_20():
+    # about 15 s on a 2-core host; run with -m slow
+    for k in (14, 20):
+        md = cat.modular_data(k)
+        n = len(md.simples)
+        assert n == (k + 1) * (k + 2) // 2
+        assert md.omega == [cat.qdim_at(w, md.order) for w in md.simples]
+        assert all(md.s_tilde[i][j] == md.s_tilde[j][i]
+                   for i in range(n) for j in range(i))
 
 
 def test_weight_outside_the_alcove_raises_typed_error():

@@ -161,9 +161,14 @@ def test_faithful_cli(capsys, tmp_path):
     assert all(row["min_level"] >= 1 for row in data["table"])
 
 
-@pytest.mark.parametrize("payload", [{"schema": 1}, {"terms": [{"coeff": 1}]}, [1, 2]])
+@pytest.mark.parametrize("payload", [
+    {"schema": 1}, {"terms": [{"coeff": 1}]}, [1, 2],
+    {"schema": "c2spider/websum/1", "terms": []},
+    cl._websum_to_json(eng.WebSum.from_web(cl._id(2), 2))])
 def test_malformed_cache_entry_is_a_miss_and_rewritten(capsys, tmp_path, monkeypatch, payload):
-    # each payload is valid JSON but no websum record, and crashed the command
+    # the first three payloads are valid JSON but no websum record, and
+    # crashed the command; the last two are websum records whose identity
+    # web has coefficient 0 or 2, not 1 as in P_2, and were served as P_2
     key = "clasp-merged-single-2"
 
     def expand(root):

@@ -16,6 +16,7 @@ from c2spider.ring import (
     _cyclotomic_int,
     _sum_fractions,
     cyc_dot,
+    cyc_matrix_dots,
     cyclotomic_orders,
     qint,
     specialize,
@@ -524,14 +525,52 @@ def test_cyc_dot_order_mismatch():
     assert cyc_dot([a, CycNumber.zero(20)], [a, b]) == a
 
 
+def triple_loop(a, b):
+    """The matrix product by ``naive_product`` and additions."""
+    order = a[0][0].order
+    want = [[CycNumber.zero(order) for _ in b[0]] for _ in a]
+    for i, row in enumerate(a):
+        for j in range(len(b[0])):
+            for t, x in enumerate(row):
+                want[i][j] = want[i][j] + naive_product(x, b[t][j])
+    return want
+
+
 def test_mat_mul_matches_triple_loop():
     rng = random.Random(12)
     for order, (n, k, m) in ((20, (2, 3, 4)), (28, (3, 3, 3)), (16, (4, 1, 2))):
         a = [[rand_cyc(rng, order) for _ in range(k)] for _ in range(n)]
         b = [[rand_cyc(rng, order) for _ in range(m)] for _ in range(k)]
-        want = [[CycNumber.zero(order) for _ in range(m)] for _ in range(n)]
-        for i in range(n):
-            for j in range(m):
-                for t in range(k):
-                    want[i][j] = want[i][j] + naive_product(a[i][t], b[t][j])
-        assert mat_mul(a, b) == want
+        product = mat_mul(a, b)
+        assert product == triple_loop(a, b)
+        for row in product:
+            for x in row:
+                assert_canonical(x)
+
+
+def test_mat_mul_at_the_packing_bound():
+    # every coefficient +-c: the middle coefficient of each unreduced entry
+    # is then +-n phi(N) c^2, the bound the packing width is chosen above;
+    # a row of mixed denominators is scaled to their lcm first
+    for order, n, c in ((20, 4, 2 ** 10), (28, 3, 2 ** 16 - 1), (16, 5, 7), (12, 2, 1)):
+        deg = len(CycNumber.one(order).num)
+        big = CycNumber(order, [c] * deg)
+        for a, b in (([[big] * n] * n, [[big] * n] * n),
+                     ([[big] * n] * n, [[-big] * n] * n),
+                     ([[big, -big] * n] * 2, [[-big] * 2] * (2 * n))):
+            assert mat_mul(a, b) == triple_loop(a, b), (order, n, c)
+        thirds = CycNumber(order, [Fraction(c, 3)] * deg)
+        fifths = CycNumber(order, [Fraction(-c, 5)] * deg)
+        a = [[thirds, fifths] * n, [fifths] * (2 * n)]
+        b = [[thirds], [big]] * n
+        assert mat_mul(a, b) == triple_loop(a, b), (order, n, c)
+
+
+def test_cyc_matrix_dots_pairs_and_orders():
+    rng = random.Random(5)
+    rows = [[rand_cyc(rng, 20) for _ in range(3)] for _ in range(4)]
+    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
+    assert cyc_matrix_dots(rows, rows, pairs) == \
+        [cyc_dot(rows[i], rows[j]) for i, j in pairs]
+    with pytest.raises(OrderMismatch):
+        cyc_matrix_dots(rows, [[CycNumber.one(16)] * 3], [(0, 0)])

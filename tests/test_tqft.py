@@ -11,9 +11,8 @@ import time
 import pytest
 
 from c2spider import cat, faithful, tqft
-from c2spider.tqft import (Spine, mat_identity, mat_mul, mat_scale_columns,
-                           normalize_curve, word_matrix)
-from helpers import dumbbell, proportional
+from c2spider.tqft import Spine, mat_mul, normalize_curve, word_matrix
+from helpers import dumbbell, mat_identity, mat_scale_columns, proportional
 
 
 def _enumerated_dim(spine, k):
@@ -205,23 +204,50 @@ def test_modular_relation_on_torus_rep():
 
 
 def test_word_matrix_is_the_dense_product_and_unitary_up_to_scale():
-    # the column-scaled twist against dense products from the identity, and
-    # M M+ = s_norm_sq^#s, the fact that stands in for stored inverses
+    # the reduced word against dense products from the identity, with the
+    # inverse twist T as the dense diagonal of conjugates; and
+    # M M+ = s_norm_sq^#s with M+ the matrix of the adjoint word, the fact
+    # that stands in for stored inverses
     for k in (1, 2):
         md = cat.modular_data(k)
         n, order = len(md.simples), md.order
-        t = _dense_twist(md)
-        for length in range(5):
-            for word in itertools.product("st", repeat=length):
+        dense_letter = {"s": md.s_tilde, "t": _dense_twist(md),
+                        "T": mat_scale_columns(mat_identity(n, order),
+                                               [x.conj() for x in md.t_diag])}
+        for length in range(6):
+            for word in itertools.product("stT", repeat=length):
                 m = word_matrix(md, word)
-                dense = functools.reduce(
-                    mat_mul, (md.s_tilde if g == "s" else t for g in word),
-                    mat_identity(n, order))
+                dense = functools.reduce(mat_mul, (dense_letter[g] for g in word),
+                                         mat_identity(n, order))
                 assert m == dense, (k, word)
                 m_dag = [[x.conj() for x in col] for col in zip(*m)]
+                assert word_matrix(md, tqft.adjoint(word)) == m_dag, (k, word)
                 scale = md.s_norm_sq ** word.count("s")
                 assert mat_mul(m, m_dag) == [[x * scale for x in row]
                                              for row in mat_identity(n, order)], (k, word)
+
+
+def test_reduced_words_multiply_only_what_is_left(monkeypatch):
+    # 'ss' is the scalar s_norm_sq and 'tT', 'Tt' cancel, so a word makes
+    # one product fewer than the 's' letters left after reduction
+    md = cat.modular_data(2)
+    n = len(md.simples)
+    calls = []
+    monkeypatch.setattr(tqft, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    cases = (("sss", 0), ("stTs", 0), ("sTts", 0), ("ssss", 0), ("sts", 1),
+             ("stTsts", 0), ("ststs", 2), ("tTtT", 0), ("s" + "t" * md.order + "s", 0))
+    for word, products in cases:
+        calls.clear()
+        m = word_matrix(md, word)
+        assert len(calls) == products, word
+        squares, letters = tqft._reduce_word(word, md.order)
+        assert all(a != b for a, b in zip(letters, letters[1:])), word
+        assert max(letters.count("s") - 1, 0) == products, word
+    scale = md.s_norm_sq ** 2
+    assert word_matrix(md, "ssss") == [[x * scale for x in row]
+                                       for row in mat_identity(n, md.order)]
+    with pytest.raises(ValueError):
+        word_matrix(md, "sx")
 
 
 def test_curve_normalization_and_action():
@@ -229,6 +255,8 @@ def test_curve_normalization_and_action():
     assert normalize_curve(0, -3) == (0, 1)
     assert tqft.act_on_curve(("t",), (0, 1)) == (1, 1)
     assert tqft.act_on_curve(("s",), (1, 0)) == (0, 1)
+    assert tqft.act_on_curve(("T",), (1, 1)) == (0, 1)
+    assert tqft.act_on_curve(("t", "T"), (2, 3)) == (2, 3)
     with pytest.raises(ValueError):
         normalize_curve(0, 0)
 
@@ -309,27 +337,29 @@ def test_twist_fixes_meridian_operator():
 
 def test_conjugation_identity_words_up_to_three(monkeypatch):
     # the eigenbasis check against the dense V_h C(gamma) = C(h gamma) V_h,
-    # for the true image curve and, with act_on_curve patched, every wrong one
+    # for the true image curve and, with act_on_curve patched, every wrong
+    # one; words take the inverse twist T too
     curves = ((1, 0), (0, 1), (1, 1), (1, 2))
     for curve in curves:    # the words reaching every target, found unpatched
         tqft._word_reaching(curve)
     refuted = 0
-    for k in (1, 2):
+    for k in (1, 2, 3):
+        operators = {c: curve_operator_torus(c, k) for c in curves}
         for length in range(4):
-            for word in itertools.product("st", repeat=length):
+            for word in itertools.product("stT", repeat=length):
                 m = word_matrix(cat.modular_data(k), word)
                 for curve in curves:
-                    lhs = mat_mul(m, curve_operator_torus(curve, k))
+                    lhs = mat_mul(m, operators[curve])
                     image = tqft.act_on_curve(word, curve)
                     assert lhs == mat_mul(curve_operator_torus(image, k), m)
                     assert tqft.conjugation_identity_holds(word, curve, k), \
                         (k, word, curve)
                     for target in curves:
-                        reference = lhs == mat_mul(curve_operator_torus(target, k), m)
+                        reference = lhs == mat_mul(operators[target], m)
                         monkeypatch.setattr(tqft, "act_on_curve",
                                             lambda w, c, target=target: target)
                         assert tqft.conjugation_identity_holds(word, curve, k) \
                             == reference, (k, word, curve, target)
                         monkeypatch.undo()
                         refuted += not reference
-    assert refuted == 411
+    assert refuted == 1658     # 411 of them at k <= 2 without T
