@@ -21,16 +21,17 @@ that by solving the conditions with closed pairings.  Flat expansions are
 memoized on disk keyed by the relation-table hash.  These single-strand
 clasps are the only ones built: a box in a web is a clasp (n, 0).
 
-Inside diagrams clasps stay opaque boxes for as long as possible: a term dies
-as soon as any box sees an adjacent-leg cap or an adjacent-leg trivalent
-vertex on one side, which is what makes theta networks tractable.  A box
-(n, 0) with n >= 2 is expanded by the recursion at the level of boxes,
-T0 + c1 T0 E T0 + c2 T0 G T0 with T0 a box of n-1 beside a strand, as
-recoupling theory does it (L. Kauffman and S. Lins, "Temperley-Lieb
-Recoupling Theory and Invariants of 3-Manifolds", 1994).  That is the one
-expansion step, ``_expand_one_box``.  A closed network is valued like a
-plain web: expand one box, reduce, value each piece in turn, and keep each
-boxed sub-network's value under its canonical key, so none is flattened.
+Inside diagrams clasps stay opaque boxes for as long as possible.  The box
+axioms are rewrite rules of the engine (``engine._box_rule``), so
+``reduce_sum`` drops a term as soon as a box meets a turnback, which is
+what makes theta networks tractable.  A box (n, 0) with n >= 2 is expanded
+by the recursion at the level of boxes, T0 + c1 T0 E T0 + c2 T0 G T0 with
+T0 a box of n-1 beside a strand, as recoupling theory does it (L. Kauffman
+and S. Lins, "Temperley-Lieb Recoupling Theory and Invariants of
+3-Manifolds", 1994).  That is the one expansion step, ``_expand_one_box``.
+A closed network is valued like a plain web: expand one box, reduce, value
+each piece in turn, and keep each boxed sub-network's value under its
+canonical key, so none is flattened.
 The flat P_n of ``clasp_expand`` is the step repeated on one open box; it
 serves the CLI, ``turnback_kill`` and ``idempotent``.
 
@@ -263,90 +264,6 @@ def idempotent(n: int, ctx: ClaspContext = None) -> bool:
 # -- clasp boxes inside webs ---------------------------------------------------------
 
 
-def _box_positions(web):
-    return [v for v in sorted(web.vkind) if web.vkind[v] == "clasp"]
-
-
-def _adjacent_legs(web, v):
-    """The far ends (u1, u2) of each two adjacent legs on one side of box v.
-    When a cap joins the two legs, each far end is the other leg, so
-    web.pair[u1] == u2."""
-    n, = web.vextra[v]
-    legs = web.vlegs[v]
-    for side in (legs[:n], legs[n:]):
-        for t in range(len(side) - 1):
-            yield web.pair[side[t]], web.pair[side[t + 1]]
-
-
-def _box_is_dead(web, v) -> bool:
-    """Adjacent-leg cap or adjacent-leg trivalent vertex on one side of the box."""
-    for u1, u2 in _adjacent_legs(web, v):
-        if web.pair[u1] == u2:
-            return True
-        v1 = web.dart_vertex.get(u1)
-        if v1 is not None and v1 == web.dart_vertex.get(u2) \
-                and web.vkind[v1] == "tri":
-            return True
-    return False
-
-
-def _box_straighten_step(web):
-    """One application of the derived axiom: a sideways double-edge bridge
-    whose two feet stand on adjacent legs of a clasp box straightens to
-    parallel strands (the square relation is monic, and its other two
-    components die as turnbacks).  Returns the rewritten web or None."""
-    for v in _box_positions(web):
-        for u1, u2 in _adjacent_legs(web, v):
-            va = web.dart_vertex.get(u1)
-            vb = web.dart_vertex.get(u2)
-            if va is None or vb is None or va == vb:
-                continue
-            if web.vkind.get(va) != "tri" or web.vkind.get(vb) != "tri":
-                continue
-            da = next(d for d in web.vlegs[va] if web.etype[d] == "d")
-            if web.pair[da] not in web.vlegs[vb]:
-                continue
-            sa = next(d for d in web.vlegs[va] if d not in (u1, da))
-            db = web.pair[da]
-            sb = next(d for d in web.vlegs[vb] if d not in (u2, db))
-            mini = ((), ((("x", 0), ("x", 1), "s"), (("x", 2), ("x", 3), "s")))
-            return eng._splice(web, {va, vb}, [u1, sa, u2, sb], [mini])[0]
-    return None
-
-
-def _box_absorb_step(web):
-    """Merge two stacked clasp boxes of equal weight (idempotent absorption)."""
-    for v in _box_positions(web):
-        n, = web.vextra[v]
-        if not n:
-            continue   # the box on no strands is stacked on nothing
-        legs = web.vlegs[v]
-        target = web.dart_vertex.get(web.pair[legs[n]])
-        if target is None or target == v or web.vkind.get(target) != "clasp":
-            continue
-        if web.vextra[target] != (n,):
-            continue
-        tlegs = web.vlegs[target]
-        # v's output j sits at legs[2n-1-j]; it must feed target's input j
-        if all(web.pair[legs[2 * n - 1 - j]] == tlegs[j] for j in range(n)):
-            mini = ((), tuple((("x", j), ("x", 2 * n - 1 - j), "s")
-                              for j in range(n)))
-            return eng._splice(web, {target}, list(tlegs), [mini])[0]
-    return None
-
-
-def _settle(web):
-    """Straighten and absorb at the boxes until neither applies; None as soon
-    as a box meets a turnback."""
-    while True:
-        if any(_box_is_dead(web, v) for v in _box_positions(web)):
-            return None
-        rewritten = _box_straighten_step(web) or _box_absorb_step(web)
-        if rewritten is None:
-            return web
-        web = rewritten
-
-
 @functools.cache
 def _recursion_webs(n):
     """The recursion for P_n, n >= 2, at the level of boxes: the webs
@@ -373,59 +290,52 @@ def _recursion_webs(n):
 
 
 def _expand_one_box(web, ctx: ClaspContext) -> WebSum:
-    """Expand one box of a settled web; the pieces are settled, the dead ones
-    dropped before they are keyed, and the rest reduced with boxes kept.
+    """Expand one box of a settled web; ``reduce_sum`` settles and reduces
+    the pieces, and drops the dead ones before they are keyed.
 
     A box (n, 0), n >= 2, becomes the three webs of ``_recursion_webs``; a
     box of at most one strand is the identity on its strands.  The smallest
     box goes first, the newest among equals: on a 2-core host theta(4,4,4)
     takes 0.2 s so, 22 s largest first.
     """
-    v = min(_box_positions(web), key=lambda x: (web.vextra[x][0], -x))
+    v = min(eng._box_positions(web), key=lambda x: (web.vextra[x][0], -x))
     n, = web.vextra[v]
     expansion = _recursion_webs(n) if n >= 2 else [(_ONE, eng.to_mini(_id(n)))]
     pieces = eng._splice(web, {v}, list(web.vlegs[v]), [m for _, m in expansion])
-    partial = WebSum.zero()
-    for (c, _), piece in zip(expansion, pieces):
-        piece = _settle(piece)
-        if piece is not None:
-            partial.add(c, piece)
-    return reduce_sum(partial, table=ctx.table, boxes_ok=True)
+    return reduce_sum([(c, piece) for (c, _), piece in zip(expansion, pieces)],
+                      table=ctx.table)
 
 
 def _box_sizes(web):
     """The strand counts of the web's boxes, largest first."""
-    return tuple(sorted((web.vextra[v][0] for v in _box_positions(web)), reverse=True))
+    return tuple(sorted((web.vextra[v][0] for v in eng._box_positions(web)),
+                        reverse=True))
 
 
 def expand_boxes(ws, ctx: ClaspContext = None) -> WebSum:
-    """Replace every clasp box of an open sum by its expansion; the result
-    is a sum of plain webs.
+    """Replace every clasp box of an open web or sum by its expansion; the
+    result is a sum of plain webs.
 
-    Pending webs are merged under their canonical keys, so each distinct web
-    takes one ``_expand_one_box`` step, on its summed coefficient.  They are
-    grouped by ``_box_sizes``, and the greatest tuple goes first: a step
-    replaces a box by boxes one strand smaller or removes it, and
-    ``_settle`` only removes boxes, so every piece's tuple is less than its
-    web's and no coefficient grows after its web is taken.
+    The input is reduced once by ``reduce_sum``.  Pending webs are merged
+    under their canonical keys, so each distinct web takes one
+    ``_expand_one_box`` step, on its summed coefficient.  They are grouped
+    by ``_box_sizes``, and the greatest tuple goes first: a step replaces a
+    box by boxes one strand smaller or removes it, and the box rules only
+    remove boxes, so every piece's tuple is less than its web's and no
+    coefficient grows after its web is taken.
     """
     ctx = ctx or default_context()
-    if isinstance(ws, wb.Web):
-        ws = WebSum.from_web(ws)
     out = WebSum.zero()
     pending = {}   # box sizes -> WebSum of the settled webs with those boxes
 
     def push(coeff, web):
-        web = _settle(web)
-        if web is None:
-            return
         sizes = _box_sizes(web)
         if sizes:
             pending.setdefault(sizes, WebSum.zero()).add(coeff, web)
         else:
             out.add(coeff, web)
 
-    for coeff, web in ws:
+    for coeff, web in reduce_sum(ws, table=ctx.table):
         push(coeff, web)
     while pending:
         layer = pending.pop(max(pending)).terms
@@ -437,19 +347,29 @@ def expand_boxes(ws, ctx: ClaspContext = None) -> WebSum:
 
 
 def eval_box_web(w, ctx: ClaspContext = None) -> RationalFunction:
-    """Value of a closed web: without boxes by ``eval_closed``, else by one
-    ``_expand_one_box`` step and the values of its pieces, memoized under
-    the web's canonical key in the table's eval memo."""
+    """Value of a closed web: without boxes by ``eval_closed``, else the
+    settled web, or each piece of ``prune_box_sum`` when crossings sit
+    beside the boxes, by ``_box_value``."""
     ctx = ctx or default_context()
-    w = _settle(w)
-    if w is None:
-        return _ZERO
-    if not _box_positions(w):
+    if not w.has_kind("clasp"):
+        return eval_closed(w, table=ctx.table)
+    if w.has_kind("cross"):
+        return sum((c * _box_value(piece, ctx)
+                    for c, piece in prune_box_sum(WebSum.from_web(w), ctx)), _ZERO)
+    w = eng._settle(w)
+    return _ZERO if w is None else _box_value(w, ctx)
+
+
+def _box_value(w, ctx: ClaspContext) -> RationalFunction:
+    """Value of a settled closed web without crossings: one
+    ``_expand_one_box`` step and the values of its settled pieces, memoized
+    under the web's canonical key in the table's eval memo."""
+    if not w.has_kind("clasp"):
         return eval_closed(w, table=ctx.table)
     memo = eng.eval_memo(ctx.table)
     key = w.canonical_key()
     if key not in memo:
-        memo[key] = sum((c * eval_box_web(piece, ctx)
+        memo[key] = sum((c * _box_value(piece, ctx)
                          for c, piece in _expand_one_box(w, ctx)), _ZERO)
     return memo[key]
 
@@ -545,30 +465,24 @@ def prune_box_sum(ws: WebSum, ctx: ClaspContext = None) -> WebSum:
     """Reduce a sum of webs containing opaque clasp boxes and crossings,
     dropping every term in which a box meets a turnback.
 
-    A web that meets a box in a turnback is dropped unkeyed; a survivor
-    with a crossing has its lowest-id crossing smoothed and the smoothings
-    checked in turn, so only crossing-free survivors pay for face reduction.
+    A web with a crossing is settled, and dropped unkeyed if a box meets a
+    turnback; a survivor has its lowest-id crossing smoothed and the
+    smoothings checked in turn.  The crossing-free webs go to ``reduce_sum``
+    once, and what it returns is settled and reduced.
     """
     ctx = ctx or default_context()
-    out = WebSum.zero()
+    plain = []
     stack = [(c, w) for c, w in ws]
     while stack:
         coeff, web = stack.pop()
-        web = _settle(web)
-        if web is None:
-            continue
         v = eng._first_vertex(web, "cross")
-        if v is not None:
-            stack.extend((coeff * k, w2) for k, w2 in eng._smooth(web, v, ctx.table))
+        if v is None:
+            plain.append((coeff, web))
             continue
-        key = web.canonical_key()
-        reduced = reduce_sum(WebSum.from_web(web, coeff), table=ctx.table, boxes_ok=True)
-        for c2, w2 in reduced:
-            if w2.canonical_key() == key:
-                out.add(c2, w2)   # irreducible fixed point of the pipeline
-            else:
-                stack.append((c2, w2))
-    return out
+        web = eng._settle(web)
+        if web is not None:
+            stack.extend((coeff * k, w2) for k, w2 in eng._smooth(web, v, ctx.table))
+    return reduce_sum(plain, table=ctx.table)
 
 
 def braid_eigenvalue(word, n: int, ctx: ClaspContext = None,

@@ -4,9 +4,15 @@ Reduction terminates by construction.  A face rule fires only on an m-gon
 with m distinct trivalent corners, crossings are resolved once beforehand,
 and ``RuleTable`` refuses at construction any face rule with a right-hand
 term of m or more vertices, so every rewrite strictly lowers the vertex
-count.  Closed crossing-free webs always contain a reducible face (a
-discrete Gauss-Bonnet count over the sphere forces positive-curvature faces
-to exist); a table lacking the rule for one raises ``NonTerminating``.
+count.  The box rules of ``_box_rule`` lower it too, or drop the term: a
+clasp box (n, 0) kills a turnback on two adjacent legs, straightens a
+sideways bridge standing on them and absorbs an equal box stacked on it.
+Killing and absorbing are axioms of the clasp; straightening holds because
+the square relation is monic in the frozen table's normalization and its
+other terms are turnbacks.  Closed crossing-free webs always contain a
+reducible face (a discrete Gauss-Bonnet count over the sphere forces
+positive-curvature faces to exist); a table lacking the rule for one raises
+``NonTerminating``.
 
 Equality of open webs is decided through the closed pairing
 ``<X, Y> = eval(plug(mirror(X), Y))``, a symmetric bilinear form.  It is not
@@ -299,6 +305,70 @@ def apply_face_rule(web: Web, face, rule, rot):
 
 
 # --------------------------------------------------------------------------
+# clasp boxes
+
+# two ports joined straight across: x0 to x1 and x2 to x3
+_STRAIGHT = ((), ((("x", 0), ("x", 1), "s"), (("x", 2), ("x", 3), "s")))
+
+
+def _box_rule(web: Web, v):
+    """The box axiom at clasp box ``v`` (n, 0): "dead" when two adjacent
+    legs on one side meet a turnback (a cap or one trivalent vertex); else
+    the ``_splice`` arguments that straighten a sideways double-edge bridge
+    standing on two adjacent legs, or that absorb a box of the same weight
+    stacked on v's outputs (the clasp is idempotent); else None."""
+    n, = web.vextra[v]
+    legs = web.vlegs[v]
+    feet = []
+    for side in (legs[:n], legs[n:]):
+        ends = [web.pair[d] for d in side]
+        for u1, u2 in zip(ends, ends[1:]):
+            if web.pair[u1] == u2:
+                return "dead"
+            va, vb = web.dart_vertex[u1], web.dart_vertex[u2]
+            if web.vkind.get(va) == web.vkind.get(vb) == "tri":
+                if va == vb:
+                    return "dead"
+                feet.append((u1, u2, va, vb))
+    for u1, u2, va, vb in feet:
+        da = next(d for d in web.vlegs[va] if web.etype[d] == "d")
+        if web.pair[da] in web.vlegs[vb]:
+            sa, = (d for d in web.vlegs[va] if d not in (u1, da))
+            sb, = (d for d in web.vlegs[vb] if d not in (u2, web.pair[da]))
+            return {va, vb}, [u1, sa, u2, sb], [_STRAIGHT]
+    target = web.dart_vertex[web.pair[legs[n]]] if n else None
+    if target == v or web.vkind.get(target) != "clasp" or web.vextra[target] != (n,):
+        return None
+    tlegs = web.vlegs[target]
+    # v's output j sits at legs[2n-1-j]; it must feed target's input j
+    if any(web.pair[legs[2 * n - 1 - j]] != tlegs[j] for j in range(n)):
+        return None
+    return {target}, tlegs, [((), tuple((("x", j), ("x", 2 * n - 1 - j), "s")
+                                        for j in range(n)))]
+
+
+def _box_positions(web: Web):
+    """The web's clasp boxes, lowest id first."""
+    return [v for v in sorted(web.vkind) if web.vkind[v] == "clasp"]
+
+
+def _settle(web: Web):
+    """The web with the box rules applied until none applies, or None.  A
+    pass returns None at the first dead box, before it splices anything,
+    and otherwise splices the first rewrite it found."""
+    while True:
+        rewrite = None
+        for v in _box_positions(web):
+            rule = _box_rule(web, v)
+            if rule == "dead":
+                return None
+            rewrite = rewrite or rule
+        if rewrite is None:
+            return web
+        web = _splice(web, *rewrite)[0]
+
+
+# --------------------------------------------------------------------------
 # reduction
 
 
@@ -318,8 +388,11 @@ def _pick_face(web: Web, table: RuleTable):
     return min(_face_matches(web, table), key=lambda t: (t[0], t[1]), default=None)
 
 
-def reduce_sum(ws, table: RuleTable = None, boxes_ok: bool = False) -> WebSum:
-    """Rewrite every diagram until no reducible internal face remains."""
+def reduce_sum(ws, table: RuleTable = None) -> WebSum:
+    """Rewrite every diagram of a web, a ``WebSum`` or (coefficient, web)
+    pairs until no box rule and no face rule applies.  A web with boxes is
+    settled before a face is picked, so one whose box meets a turnback is
+    dropped unkeyed.  Crossings are refused: resolve them first."""
     table = table or default_table()
     if isinstance(ws, Web):
         ws = WebSum.from_web(ws)
@@ -327,12 +400,16 @@ def reduce_sum(ws, table: RuleTable = None, boxes_ok: bool = False) -> WebSum:
     stack = [(c, w) for c, w in ws]
     while stack:
         coeff, w = stack.pop()
+        if w.has_kind("cross"):
+            raise ValueError("reduce expects a web without crossings: "
+                             "resolve them first")
+        if w.has_kind("clasp"):
+            w = _settle(w)
+            if w is None:
+                continue
         coeff, w = _strip_loops(coeff, w, table)
         if coeff.is_zero():
             continue
-        if w.has_kind("cross") or (w.has_kind("clasp") and not boxes_ok):
-            raise ValueError("reduce expects a plain web: resolve crossings and "
-                             "expand boxes first")
         pick = _pick_face(w, table)
         if pick is None:
             out.add(coeff, w)

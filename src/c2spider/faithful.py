@@ -303,11 +303,11 @@ def random_geodesic_walk(spine: Spine, rng: random.Random,
             v = _other_end(edges, e, v)
         if not ok or v != v0:
             continue
+        # each step leaves by another edge than it came, so only the wrap
+        # can backtrack, and complexity() checks the walk once more
         if steps[-1][1] == first:
             continue
         walk = CurveWalk(spine, tuple(steps))
-        if check_graph_geodesic(walk) is not None:
-            continue
         _, m = complexity(walk)
         if m <= max_m:
             return walk

@@ -202,7 +202,7 @@ def test_gram_check_rejects_every_perturbed_entry():
 
 @pytest.mark.slow
 def test_modular_data_at_levels_14_and_20():
-    # about 15 s on a 2-core host; run with -m slow
+    # about 9 s on a 2-core host; run with -m slow
     for k in (14, 20):
         md = cat.modular_data(k)
         n = len(md.simples)

@@ -91,6 +91,17 @@ def test_web_eval_takes_one_path_with_or_without_boxes(capsys, tmp_path, monkeyp
         assert calls[0] == w.canonical_key()
 
 
+def test_web_eval_of_a_box_under_a_crossing(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("C2SPIDER_CACHE", str(tmp_path))
+    w = wb.trace_closure(wb.compose(cl.braid_web([1], 2), wb.clasp_box_web(2)))
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps(w.to_json()))
+    code, out, _ = run(capsys, "web", "eval", "--web", str(path))
+    assert code == 0
+    assert RF.from_json(json.loads(out)["scalar"]) == \
+        cl.braid_eigenvalue([1], 2) * cl.clasp_trace((2, 0))
+
+
 def test_web_rules_text_and_json(capsys):
     code, out, _ = run(capsys, "--format", "text", "web", "rules")
     assert code == 0 and "closed single loop" in out

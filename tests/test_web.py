@@ -226,10 +226,14 @@ def test_theta_value_consistent_with_clasp_degenerate():
 
 
 def test_reduce_rejects_boxes_and_crossings():
+    # crossings are refused; a bare box is settled, and survives, while a
+    # box under a cap meets a turnback and is dropped
     with pytest.raises(ValueError):
         reduce_sum(WebSum.from_web(wb.crossing_web(True)))
-    with pytest.raises(ValueError):
-        reduce_sum(WebSum.from_web(wb.clasp_box_web(2)))
+    box = wb.clasp_box_web(2)
+    (c, w), = reduce_sum(WebSum.from_web(box))
+    assert c == RF.coerce(1) and w.canonical_key() == box.canonical_key()
+    assert reduce_sum(WebSum.from_web(wb.compose(wb.cap_web("s"), box))).is_zero()
 
 
 def test_multiplicativity_random(seed=20260811):
