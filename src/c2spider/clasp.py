@@ -28,10 +28,12 @@ what makes theta networks tractable.  A box (n, 0) with n >= 2 is expanded
 by the recursion at the level of boxes, T0 + c1 T0 E T0 + c2 T0 G T0 with
 T0 a box of n-1 beside a strand, as recoupling theory does it (L. Kauffman
 and S. Lins, "Temperley-Lieb Recoupling Theory and Invariants of
-3-Manifolds", 1994).  That is the one expansion step, ``_expand_one_box``.
-A closed network is valued like a plain web: expand one box, reduce, value
-each piece in turn, and keep each boxed sub-network's value under its
-canonical key, so none is flattened.
+3-Manifolds", 1994).  That is the one expansion step, an engine rewrite
+(``engine._expand_one_box``, with ``engine.recursion_coefficients``).
+Closed networks, traces and thetas among them, are valued in
+``engine.eval_closed``: it expands one box of each connected component,
+values the pieces in turn and keeps each component's value under its
+canonical key, so no network is flattened.
 The flat P_n of ``clasp_expand`` is the step repeated on one open box; it
 serves the CLI, ``turnback_kill`` and ``idempotent``.
 
@@ -47,25 +49,21 @@ import functools
 from . import engine as eng
 from . import web as wb
 from .cache import KEY_PREFIX, ClaspCache
-from .engine import WebSum, eval_closed, reduce_sum, sum_compose, sum_is_zero
+from .engine import (WebSum, recursion_coefficients, reduce_sum, resolve_crossings,
+                     sum_compose, sum_is_zero)
 from .ring import (CycNumber, DenominatorVanishes, RationalFunction,
-                   cyclotomic_orders, qint, specialize)
+                   cyclotomic_orders, specialize)
 from .rules import RuleTable, default_table
 
-_ONE = RationalFunction.coerce(1)
 _ZERO = RationalFunction.coerce(0)
 
 
 # -- strand-level building blocks ----------------------------------------------
 
 
-def _id(n):
-    return wb.id_web(["s"] * n)
-
-
 def _at(n, i, piece):
     """piece acting on strands i, i+1 of n single strands."""
-    return wb.tensor(wb.tensor(_id(i), piece), _id(n - i - 2))
+    return wb.tensor(wb.tensor(eng._strands(i), piece), eng._strands(n - i - 2))
 
 
 def cap_at(n, i):
@@ -82,14 +80,6 @@ def merge_at(n, i):
 
 def split_at(n, i):
     return _at(n, i, wb.split_vertex_web())
-
-
-def e_at(n, i):
-    return _at(n, i, wb.compose(wb.cup_web("s"), wb.cap_web("s")))
-
-
-def g_at(n, i):
-    return _at(n, i, wb.compose(wb.split_vertex_web(), wb.merge_vertex_web()))
 
 
 def rainbow_caps(k):
@@ -167,7 +157,7 @@ def clasp_expand(n: int, kind: str = "single", ctx: ClaspContext = None) -> WebS
     if memo_key in _MEMO:
         return _MEMO[memo_key]
     if n <= 1:
-        ws = WebSum.from_web(_id(n))
+        ws = WebSum.from_web(eng._strands(n))
     else:
         cached = ctx.cache.get(ctx._key(n, kind))
         try:
@@ -175,7 +165,7 @@ def clasp_expand(n: int, kind: str = "single", ctx: ClaspContext = None) -> WebS
         except ValueError:
             ws = None
         if ws is not None:
-            ident = ws.terms.get(_id(n).canonical_key())
+            ident = ws.terms.get(eng._strands(n).canonical_key())
             if ident is None or ident[0] != 1:
                 ws = None
         if ws is None:
@@ -183,17 +173,6 @@ def clasp_expand(n: int, kind: str = "single", ctx: ClaspContext = None) -> WebS
             ctx.cache.put(ctx._key(n, kind), _websum_to_json(ws))
     _MEMO[memo_key] = ws
     return ws
-
-
-def recursion_coefficients(n: int):
-    """The correction coefficients (c1, c2) in the two-term recursion for P_n,
-    n >= 2, in closed form (see the module docstring)."""
-    if n < 2:
-        raise ValueError("the recursion starts at two strands")
-    c1 = RationalFunction(qint(n + 1) * qint(2 * n - 2),
-                          qint(2) * qint(n) * qint(2 * n + 2))
-    c2 = RationalFunction(qint(n - 1), qint(2) * qint(n))
-    return c1, c2
 
 
 @functools.cache
@@ -264,48 +243,6 @@ def idempotent(n: int, ctx: ClaspContext = None) -> bool:
 # -- clasp boxes inside webs ---------------------------------------------------------
 
 
-@functools.cache
-def _recursion_webs(n):
-    """The recursion for P_n, n >= 2, at the level of boxes: the webs
-    T0 = P_{n-1} (x) 1, T0 E T0 and T0 G T0 with coefficients 1, c1, c2.
-
-    The only statement of the recursion.  Reduced webs are dependent, so
-    the expansion order picks one of many equal sums, and the lower copy of
-    P_{n-1} in a sandwich must go first: then P_4 has 110 terms and
-    cap_at(4, 0) and merge_at(4, 0) on it reduce to no term, so no pairing
-    runs; upper copy first, P_4 has 112 and those keep 23 and 24 terms, and
-    the clasp-cold benchmark takes 0.66 s, not 0.36 s, on a 2-core host.
-    A sandwich is symmetric top to bottom, so its mirror is the same diagram
-    with the lower copy the newer vertex, which ``_expand_one_box`` picks
-    first among equal boxes.  Cached by n: it does not depend on the table.
-    """
-    t0 = wb.tensor(wb.clasp_box_web(n - 1), _id(1)) if n > 2 else _id(2)
-    c1, c2 = recursion_coefficients(n)
-
-    def sandwich(middle):
-        return eng.to_mini(wb.mirror(wb.compose(t0, wb.compose(middle, t0))))
-
-    return [(_ONE, eng.to_mini(t0)),
-            (c1, sandwich(e_at(n, n - 2))), (c2, sandwich(g_at(n, n - 2)))]
-
-
-def _expand_one_box(web, ctx: ClaspContext) -> WebSum:
-    """Expand one box of a settled web; ``reduce_sum`` settles and reduces
-    the pieces, and drops the dead ones before they are keyed.
-
-    A box (n, 0), n >= 2, becomes the three webs of ``_recursion_webs``; a
-    box of at most one strand is the identity on its strands.  The smallest
-    box goes first, the newest among equals: on a 2-core host theta(4,4,4)
-    takes 0.2 s so, 22 s largest first.
-    """
-    v = min(eng._box_positions(web), key=lambda x: (web.vextra[x][0], -x))
-    n, = web.vextra[v]
-    expansion = _recursion_webs(n) if n >= 2 else [(_ONE, eng.to_mini(_id(n)))]
-    pieces = eng._splice(web, {v}, list(web.vlegs[v]), [m for _, m in expansion])
-    return reduce_sum([(c, piece) for (c, _), piece in zip(expansion, pieces)],
-                      table=ctx.table)
-
-
 def _box_sizes(web):
     """The strand counts of the web's boxes, largest first."""
     return tuple(sorted((web.vextra[v][0] for v in eng._box_positions(web)),
@@ -341,37 +278,9 @@ def expand_boxes(ws, ctx: ClaspContext = None) -> WebSum:
         layer = pending.pop(max(pending)).terms
         for key in sorted(layer):
             coeff, web = layer.pop(key)   # let go of each web once expanded
-            for c, w in _expand_one_box(web, ctx):
+            for c, w in eng._expand_one_box(web, ctx.table):
                 push(coeff * c, w)
     return out
-
-
-def eval_box_web(w, ctx: ClaspContext = None) -> RationalFunction:
-    """Value of a closed web: without boxes by ``eval_closed``, else the
-    settled web, or each piece of ``prune_box_sum`` when crossings sit
-    beside the boxes, by ``_box_value``."""
-    ctx = ctx or default_context()
-    if not w.has_kind("clasp"):
-        return eval_closed(w, table=ctx.table)
-    if w.has_kind("cross"):
-        return sum((c * _box_value(piece, ctx)
-                    for c, piece in prune_box_sum(WebSum.from_web(w), ctx)), _ZERO)
-    w = eng._settle(w)
-    return _ZERO if w is None else _box_value(w, ctx)
-
-
-def _box_value(w, ctx: ClaspContext) -> RationalFunction:
-    """Value of a settled closed web without crossings: one
-    ``_expand_one_box`` step and the values of its settled pieces, memoized
-    under the web's canonical key in the table's eval memo."""
-    if not w.has_kind("clasp"):
-        return eval_closed(w, table=ctx.table)
-    memo = eng.eval_memo(ctx.table)
-    key = w.canonical_key()
-    if key not in memo:
-        memo[key] = sum((c * _box_value(piece, ctx)
-                         for c, piece in _expand_one_box(w, ctx)), _ZERO)
-    return memo[key]
 
 
 # -- traces, thetas, braids ----------------------------------------------------------
@@ -387,7 +296,8 @@ def clasp_trace(weight, ctx: ClaspContext = None) -> RationalFunction:
     if b:
         raise NotImplementedError(f"clasp {weight} has double strands: only "
                                   "single-strand clasps (n, 0) are built")
-    return eval_box_web(wb.trace_closure(wb.clasp_box_web(a)), ctx)
+    ctx = ctx or default_context()
+    return eng.eval_closed(wb.trace_closure(wb.clasp_box_web(a)), table=ctx.table)
 
 
 def _theta_web(a: int, b: int, c: int):
@@ -401,7 +311,7 @@ def _theta_web(a: int, b: int, c: int):
         return wb.clasp_box_web(n) if n else wb.empty_web()
 
     top = wb.tensor(box_or_id(a), box_or_id(b))
-    caps = wb.tensor(wb.tensor(_id(y_ac), rainbow_caps(y_ab)), _id(y_bc))
+    caps = wb.tensor(wb.tensor(eng._strands(y_ac), rainbow_caps(y_ab)), eng._strands(y_bc))
     cups = wb.mirror(caps)
     core = wb.compose(caps, wb.compose(top, cups))
     if c:
@@ -414,15 +324,17 @@ def theta_net(a: int, b: int, c: int, ctx: ClaspContext = None) -> RationalFunct
 
     The value is symmetric in the labels, so the network is laid out with
     the largest label first and the smallest second, the order in which box
-    expansion prunes soonest: on a 2-core host theta(4,5,5) takes 1.5 s laid
-    out as given and 0.2 s as (5,4,5), and (4,6,6) 9.0 s against 0.3 s.
+    expansion prunes soonest: on a 2-core host theta(4,5,5) takes 0.3 s
+    laid out as given and 0.06 s as (5,4,5), and (4,6,6) 1.2-1.7 s against
+    0.09 s.
     """
     lo, hi = min(a, b, c), max(a, b, c)
     if lo < 0:
         raise ValueError("theta labels must be nonnegative")
     if (a + b + c) % 2 or 2 * hi > a + b + c:
         return _ZERO
-    return eval_box_web(_theta_web(hi, lo, a + b + c - lo - hi), ctx)
+    ctx = ctx or default_context()
+    return eng.eval_closed(_theta_web(hi, lo, a + b + c - lo - hi), table=ctx.table)
 
 
 class ClaspPole(DenominatorVanishes):
@@ -448,7 +360,7 @@ def braid_web(word, n: int):
     """Braid word as a web: entries are nonzero signed generator indices,
     +i crossing strands (i, i+1) positively, 1-indexed."""
     _check_braid_word(word, n)
-    out = _id(n)
+    out = eng._strands(n)
     for g in word:
         layer = _at(n, abs(g) - 1, wb.crossing_web(g > 0))
         out = wb.compose(layer, out)
@@ -463,26 +375,11 @@ def _check_braid_word(word, n: int):
 
 def prune_box_sum(ws: WebSum, ctx: ClaspContext = None) -> WebSum:
     """Reduce a sum of webs containing opaque clasp boxes and crossings,
-    dropping every term in which a box meets a turnback.
-
-    A web with a crossing is settled, and dropped unkeyed if a box meets a
-    turnback; a survivor has its lowest-id crossing smoothed and the
-    smoothings checked in turn.  The crossing-free webs go to ``reduce_sum``
-    once, and what it returns is settled and reduced.
-    """
+    dropping every term in which a box meets a turnback: the crossings are
+    smoothed by ``resolve_crossings`` and the rest is reduced by
+    ``reduce_sum``."""
     ctx = ctx or default_context()
-    plain = []
-    stack = [(c, w) for c, w in ws]
-    while stack:
-        coeff, web = stack.pop()
-        v = eng._first_vertex(web, "cross")
-        if v is None:
-            plain.append((coeff, web))
-            continue
-        web = eng._settle(web)
-        if web is not None:
-            stack.extend((coeff * k, w2) for k, w2 in eng._smooth(web, v, ctx.table))
-    return reduce_sum(plain, table=ctx.table)
+    return reduce_sum(resolve_crossings(ws, ctx.table), ctx.table)
 
 
 def braid_eigenvalue(word, n: int, ctx: ClaspContext = None,

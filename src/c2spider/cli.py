@@ -24,7 +24,7 @@ import cmath
 import json
 import sys
 
-from . import cat, faithful, tqft
+from . import cat, engine, faithful, tqft
 from . import clasp as clasp_mod
 from . import web
 from .cache import ClaspCache, cache_gc, default_cache_dir
@@ -89,7 +89,7 @@ def cmd_web_eval(args):
     bad = w.validate()
     if bad:
         raise ValueError(f"invalid web: {bad.kind}: {bad.detail}")
-    val = clasp_mod.eval_box_web(w, _ctx(args))
+    val = engine.eval_closed(w)
     return _emit(args, {"schema": "c2spider/scalar/1",
                         "scalar": _rf_json(val, args)})
 

@@ -961,12 +961,6 @@ class CycNumber:
             return self.inverse() ** (-n)
         return _power(self, n, CycNumber.one(self.order))
 
-    def conj(self) -> "CycNumber":
-        """Galois conjugation q -> q^-1 (complex conjugation on any embedding).
-        Automorphisms map Z[q]/Phi_N onto itself, so the content of num and
-        hence the lowest terms are kept."""
-        return _raw(self.order, tuple(_galois(self.num, -1, self.order)), self.den)
-
     def as_rational(self) -> Fraction:
         if any(self.num[1:]):
             raise ValueError(f"not rational: {self}")

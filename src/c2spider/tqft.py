@@ -43,10 +43,6 @@ class Spine:
     circle: bool = False
 
     @staticmethod
-    def torus() -> "Spine":
-        return Spine(0, (), circle=True)
-
-    @staticmethod
     def theta_graph() -> "Spine":
         return Spine(2, ((0, 1), (0, 1), (0, 1)))
 

@@ -295,13 +295,20 @@ class Web:
         return self._ckey
 
     def closed_components(self):
-        """The connected components of a closed web, free loops excluded.
+        """The connected components of a closed web, free loops excluded,
+        each carrying its canonical key, so it is flooded and encoded once.
 
-        Each is copied into a fresh web that keeps the dart and vertex ids and
-        already carries its canonical key, so the component is flooded and
-        encoded once."""
+        A web of one component and no free loops is returned itself, flooded
+        only if it has no key yet.  Otherwise each component is copied into a
+        fresh web that keeps the dart and vertex ids."""
+        if not self.free_loops and self._ckey is not None and len(self._ckey[3]) == 1:
+            return [self]
+        comps = list(self._components(set(self.etype)))
+        if len(comps) == 1 and not self.free_loops:
+            self._ckey = ((), self.n_in, (), (self._encode_closed(comps[0]),))
+            return [self]
         out = []
-        for comp in self._components(set(self.etype)):
+        for comp in comps:
             sub = Web()
             for d in comp:
                 v = self.dart_vertex[d]

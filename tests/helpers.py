@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 
+from c2spider import clasp as cl
 from c2spider import faithful as ff
 from c2spider import web as wb
-from c2spider.ring import CycNumber
+from c2spider.ring import CycNumber, RationalFunction, _galois, _raw
 from c2spider.tqft import Spine
 
 
@@ -13,6 +14,40 @@ def loop_web(etype="s") -> wb.Web:
     w = wb.Web()
     w.add_free_loop(etype)
     return w
+
+
+def e_at(n, i) -> wb.Web:
+    """The cap-cup E on strands i, i+1 of n single strands."""
+    return cl._at(n, i, wb.compose(wb.cup_web("s"), wb.cap_web("s")))
+
+
+def g_at(n, i) -> wb.Web:
+    """The double-edge bridge G on strands i, i+1 of n single strands."""
+    return cl._at(n, i, wb.compose(wb.split_vertex_web(), wb.merge_vertex_web()))
+
+
+def scalar(ws) -> RationalFunction:
+    """Coefficient of the empty web in a fully reduced closed sum."""
+    if not ws.terms:
+        return RationalFunction.coerce(0)
+    if len(ws.terms) != 1:
+        raise ValueError("sum is not a multiple of the empty web")
+    (c, w), = list(ws)
+    if w.n_vertices() or w.boundary or w.free_loops:
+        raise ValueError("sum is not a multiple of the empty web")
+    return c
+
+
+def conj(x: CycNumber) -> CycNumber:
+    """Galois conjugation q -> q^-1 (complex conjugation on any embedding).
+    Automorphisms map Z[q]/Phi_N onto itself, so the content of num and
+    hence the lowest terms are kept."""
+    return _raw(x.order, tuple(_galois(x.num, -1, x.order)), x.den)
+
+
+def torus() -> Spine:
+    """The spine of the torus: the vertexless circle."""
+    return Spine(0, (), circle=True)
 
 
 def dumbbell() -> Spine:

@@ -18,6 +18,7 @@ from c2spider.ring import (DenominatorVanishes, LaurentPoly,
                            specialize)
 from c2spider.rules import RuleTable, default_table
 from c2spider.tqft import Spine
+from helpers import e_at, g_at, scalar
 
 q = LaurentPoly.q_power
 
@@ -84,9 +85,9 @@ def _recursion_terms(n, ctx):
     t0 = eng.reduce_sum(_flat_clasp(n - 1, ctx).map_webs(lambda w: wb.tensor(w, one)),
                         table=table)
     t1 = eng.reduce_sum(eng.sum_compose(t0, eng.sum_compose(
-        eng.WebSum.from_web(cl.e_at(n, n - 2)), t0)), table=table)
+        eng.WebSum.from_web(e_at(n, n - 2)), t0)), table=table)
     t2 = eng.reduce_sum(eng.sum_compose(t0, eng.sum_compose(
-        eng.WebSum.from_web(cl.g_at(n, n - 2)), t0)), table=table)
+        eng.WebSum.from_web(g_at(n, n - 2)), t0)), table=table)
     return t0, t1, t2
 
 
@@ -109,7 +110,7 @@ def _worklist_expand_boxes(web, ctx):
         if not eng._box_positions(w):
             out.add(coeff, w)
             continue
-        stack.extend((coeff * c, w2) for c, w2 in cl._expand_one_box(w, ctx))
+        stack.extend((coeff * c, w2) for c, w2 in eng._expand_one_box(w, ctx.table))
     return out
 
 
@@ -127,13 +128,13 @@ def test_merged_expansion_equals_the_worklist(ctx):
 
 def test_merged_expansion_expands_each_distinct_web_once(ctx, monkeypatch):
     keys = []
-    expand = cl._expand_one_box
+    expand = eng._expand_one_box
 
     def spy(web, *args, **kwargs):
         keys.append(web.canonical_key())
         return expand(web, *args, **kwargs)
 
-    monkeypatch.setattr(cl, "_expand_one_box", spy)
+    monkeypatch.setattr(eng, "_expand_one_box", spy)
     for n, steps in ((3, 9), (4, 96)):
         keys.clear()
         cl.expand_boxes(wb.clasp_box_web(n), ctx)
@@ -182,7 +183,7 @@ def test_recursion_coefficients_partial_trace(ctx):
     # closing the last strand of P_n = t0 + c1 t1 + c2 t2 gives
     # (delta + c1 + c2 beta) P_{n-1}, and the trace of P_n is (-1)^n qdim
     delta = ctx.table.loop["s"]
-    beta = eng.eval_closed(wb.trace_closure(cl.g_at(2, 0)),
+    beta = eng.eval_closed(wb.trace_closure(g_at(2, 0)),
                            table=ctx.table) / delta
     assert beta == RF.coerce(qint(5))
     for n in range(2, 11):
@@ -361,7 +362,7 @@ def test_theta_at_agrees_with_kac_walton(ctx, thetas, monkeypatch):
 
 
 def test_theta_at_agrees_with_kac_walton_labels_6(ctx, monkeypatch):
-    # about 5 s on a 2-core host, most of it theta(6,6,6)
+    # about 1.3 s on a 2-core host, most of it theta(6,6,6)
     values = {t: cl.theta_net(*t, ctx) for t in _admissible_triples(6) if t[2] == 6}
     assert len(values) == 10
     assert _kac_walton_agreements(values, ctx, monkeypatch) == 70
@@ -486,10 +487,10 @@ def test_box_turnback_detection(ctx):
     w = wb.clasp_box_web(2)
     capped = wb.compose(wb.cap_web("s"), w)
     closed = wb.compose(wb.compose(wb.cap_web("s"), w), wb.cup_web("s"))
-    assert cl.eval_box_web(closed, ctx).is_zero()
+    assert eng.eval_closed(closed, table=ctx.table).is_zero()
     merged = wb.compose(wb.merge_vertex_web(), w)
     closed2 = wb.trace_closure(wb.compose(wb.split_vertex_web(), merged))
-    assert cl.eval_box_web(closed2, ctx).is_zero()
+    assert eng.eval_closed(closed2, table=ctx.table).is_zero()
 
 
 # -- the box rules: a reference, unit cases and a guard -------------------------
@@ -610,7 +611,7 @@ def _sideways_bridge():
     right one: each trivalent vertex sits on one strand."""
     left = wb.vertex_web(1, ["s"], ["s", "d"])
     right = wb.vertex_web(2, ["d", "s"], ["s"])
-    one = cl._id(1)
+    one = eng._strands(1)
     return wb.compose(wb.tensor(one, right), wb.tensor(left, one))
 
 
@@ -633,15 +634,15 @@ def test_box_rules_through_reduce_sum(ctx):
     for web in (wb.compose(bridge, box), wb.compose(box, bridge), wb.compose(box, box)):
         assert _reduced(web) == one
     # boxes of other weights are not absorbed
-    two = wb.compose(wb.tensor(box, cl._id(1)), wb.clasp_box_web(3))
+    two = wb.compose(wb.tensor(box, eng._strands(1)), wb.clasp_box_web(3))
     assert _reduced(two) == {two.canonical_key(): RF.coerce(1)}
     # a box on no strands stays, and is the empty web when valued; a box
     # whose legs all lie on the boundary stays as it is
     for n in (0, 1, 3):
         bare = wb.clasp_box_web(n)
         assert _reduced(bare) == {bare.canonical_key(): RF.coerce(1)}
-    assert cl.eval_box_web(wb.clasp_box_web(0), ctx) == RF.coerce(1)
-    assert cl.expand_boxes(wb.clasp_box_web(0), ctx).scalar() == RF.coerce(1)
+    assert eng.eval_closed(wb.clasp_box_web(0), table=ctx.table) == RF.coerce(1)
+    assert scalar(cl.expand_boxes(wb.clasp_box_web(0), ctx)) == RF.coerce(1)
 
 
 def test_no_keyed_web_has_a_dead_box(ctx, monkeypatch):
@@ -665,8 +666,19 @@ def test_no_keyed_web_has_a_dead_box(ctx, monkeypatch):
 
 def test_a_web_with_a_box_and_a_crossing_is_valued(ctx):
     web = wb.trace_closure(wb.compose(cl.braid_web([1], 2), wb.clasp_box_web(2)))
-    assert cl.eval_box_web(web, ctx) == \
+    assert eng.eval_closed(web, table=ctx.table) == \
         cl.braid_eigenvalue([1], 2, ctx) * cl.clasp_trace((2, 0), ctx)
+
+
+def test_box_networks_are_valued_component_by_component(ctx, monkeypatch):
+    # a trace beside a theta is the product of their values, and the memo
+    # keeps connected webs only: each piece is split into its components
+    monkeypatch.setattr(eng, "_EVAL_MEMO", {})
+    w = wb.tensor(wb.trace_closure(wb.clasp_box_web(2)), cl._theta_web(3, 2, 1))
+    value = eng.eval_closed(w, table=ctx.table)
+    keys = [k for k in eng.eval_memo(ctx.table) if k[0] != "braid"]
+    assert keys and all(len(k[3]) == 1 for k in keys)
+    assert value == cl.clasp_trace((2, 0), ctx) * cl.theta_net(3, 2, 1, ctx)
 
 
 def test_box_pruning_agrees_with_full_expansion(ctx):
@@ -691,10 +703,19 @@ def _refuse(*args, **kwargs):
 
 
 def test_braid_check_stays_on_the_box_fast_path(ctx, monkeypatch):
-    # crossings are smoothed against the box one at a time: nothing is
-    # resolved up front, and no clasp is expanded or pairing taken
+    # crossings are smoothed against the box one at a time, each on a
+    # settled web, and no clasp is expanded or pairing taken
     monkeypatch.setattr(eng, "_EVAL_MEMO", {})
-    monkeypatch.setattr(eng, "resolve_crossings", _refuse)
+    smoothed = []
+    smooth = eng._smooth
+
+    def spy(web, *args, **kwargs):
+        settled = eng._settle(web)
+        smoothed.append(settled is not None and
+                        settled.canonical_key() == web.canonical_key())
+        return smooth(web, *args, **kwargs)
+
+    monkeypatch.setattr(eng, "_smooth", spy)
     monkeypatch.setattr(cl, "sum_is_zero", _refuse)
     monkeypatch.setattr(cl, "expand_boxes", _refuse)
     words = [(w, n) for n, max_len in ((2, 4), (3, 4), (4, 3))
@@ -704,6 +725,21 @@ def test_braid_check_stays_on_the_box_fast_path(ctx, monkeypatch):
         c = sum(1 if g > 0 else -1 for g in word)
         assert cl.braid_eigenvalue(word, n, ctx, verify=True) == RF.coerce(q(c)), \
             (word, n)
+    assert smoothed and all(smoothed)
+
+
+def _smoothed_without_settling(web, table):
+    """Every crossing of the web smoothed, lowest id first, without looking
+    at its boxes: the full resolution the pruning is checked against."""
+    out, stack = [], [(RF.coerce(1), web)]
+    while stack:
+        coeff, w = stack.pop()
+        v = eng._first_vertex(w, "cross")
+        if v is None:
+            out.append((coeff, w))
+        else:
+            stack.extend((coeff * k, w2) for k, w2 in eng._smooth(w, v, table))
+    return out
 
 
 def test_box_pruning_smooths_crossings_like_full_resolution(ctx):
@@ -714,8 +750,7 @@ def test_box_pruning_smooths_crossings_like_full_resolution(ctx):
         for word in _words(n, 3):
             composite = wb.compose(cl.braid_web(word, n), box)
             lazy = cl.prune_box_sum(eng.WebSum.from_web(composite), ctx)
-            eager = cl.prune_box_sum(
-                eng.resolve_crossings(composite, table=ctx.table), ctx)
+            eager = cl.prune_box_sum(_smoothed_without_settling(composite, ctx.table), ctx)
             assert {k: c for k, (c, _) in lazy.terms.items()} == \
                 {k: c for k, (c, _) in eager.terms.items()}, (word, n)
 
@@ -802,13 +837,13 @@ def test_theta_permutations_share_one_memo_entry(ctx, monkeypatch):
     # expands a box; the other two are read from the memo
     monkeypatch.setattr(eng, "_EVAL_MEMO", {})
     calls = []
-    expand = cl._expand_one_box
+    expand = eng._expand_one_box
 
     def spy(*args, **kwargs):
         calls.append(args)
         return expand(*args, **kwargs)
 
-    monkeypatch.setattr(cl, "_expand_one_box", spy)
+    monkeypatch.setattr(eng, "_expand_one_box", spy)
     values = {}
     for t in ((1, 2, 1), (2, 1, 1), (1, 1, 2)):
         before = len(calls)
@@ -864,7 +899,7 @@ def test_cache_files_of_earlier_versions_are_not_read(tmp_path):
     table = default_table()
     ctx = cl.ClaspContext(table, ClaspCache(root=str(tmp_path / "cache"),
                                             table_hash=table.table_hash()))
-    wrong = cl._websum_to_json(eng.WebSum.from_web(cl._id(3)))
+    wrong = cl._websum_to_json(eng.WebSum.from_web(eng._strands(3)))
     ctx.cache.put("clasp-single-3", wrong)
     ctx.cache.put("clasp-box-single-3", wrong)
     cl._MEMO.pop((table.table_hash(), "single", 3), None)
@@ -1032,16 +1067,19 @@ def test_box_rooted_keys_are_complete(ctx, monkeypatch):
     # share the reference key
     monkeypatch.setattr(eng, "_EVAL_MEMO", {})
     webs = []
-    value = cl._box_value
+    components = wb.Web.closed_components
 
-    def spy(w, *args, **kwargs):
-        if eng._box_positions(w):
-            webs.append(w)
-        return value(w, *args, **kwargs)
+    def spy(self, *args, **kwargs):
+        out = components(self, *args, **kwargs)
+        webs.extend(c for c in out if eng._box_positions(c))
+        return out
 
-    monkeypatch.setattr(cl, "_box_value", spy)
+    # every boxed component the recursion reaches, memo hits included, so
+    # different webs read under one key are checked to share the reference key
+    monkeypatch.setattr(wb.Web, "closed_components", spy)
     for t in ((4, 4, 4), (5, 5, 4), (4, 5, 5), (6, 6, 4)):
         cl.theta_net(*t, ctx)
+    assert len(webs) > len({w.canonical_key() for w in webs})
     rng = random.Random(1801)
     copies = [_relabelled(w, rng) for w in webs]
     turned = [_turned(w, rng.choice(eng._box_positions(w))) for w in webs]

@@ -68,19 +68,19 @@ def test_web_eval_empty_and_loop(capsys, tmp_path):
 
 def test_web_eval_takes_one_path_with_or_without_boxes(capsys, tmp_path, monkeypatch):
     # a closed web holding a clasp box and one holding a crossing and no box
-    # are both valued by eval_box_web
+    # are both valued by eval_closed
     monkeypatch.setenv("C2SPIDER_CACHE", str(tmp_path))
     boxed = wb.trace_closure(wb.clasp_box_web(3))
     kinked = wb.trace_closure(wb.tensor(wb.crossing_web(True), wb.id_web(["s"])))
     cases = [(boxed, cl.clasp_trace((3, 0))), (kinked, eng.eval_closed(kinked))]
     calls = []
-    value = cl.eval_box_web
+    value = eng.eval_closed
 
     def spy(w, *args, **kwargs):
         calls.append(w.canonical_key())
         return value(w, *args, **kwargs)
 
-    monkeypatch.setattr(cl, "eval_box_web", spy)
+    monkeypatch.setattr(eng, "eval_closed", spy)
     for w, want in cases:
         path = tmp_path / "web.json"
         path.write_text(json.dumps(w.to_json()))
@@ -175,7 +175,7 @@ def test_faithful_cli(capsys, tmp_path):
 @pytest.mark.parametrize("payload", [
     {"schema": 1}, {"terms": [{"coeff": 1}]}, [1, 2],
     {"schema": "c2spider/websum/1", "terms": []},
-    cl._websum_to_json(eng.WebSum.from_web(cl._id(2), 2))])
+    cl._websum_to_json(eng.WebSum.from_web(eng._strands(2), 2))])
 def test_malformed_cache_entry_is_a_miss_and_rewritten(capsys, tmp_path, monkeypatch, payload):
     # the first three payloads are valid JSON but no websum record, and
     # crashed the command; the last two are websum records whose identity

@@ -1,8 +1,9 @@
-"""No dead helpers: every public top-level function and class of the package
-is used by code in ``src/``, ``tools/`` or ``perfbench/`` outside its own
-definition, as a name, an attribute or an imported name.  A word in a
-docstring, a string or a comment does not count.  A helper that only tests
-call belongs in the tests.
+"""No dead helpers: every public top-level function and class of the package,
+and every public method of its top-level classes, is used by code in
+``src/``, ``tools/`` or ``perfbench/`` outside its own definition, as a
+name, an attribute or an imported name.  A word in a docstring, a string or
+a comment does not count.  A helper that only tests call belongs in the
+tests.
 
 The sources are read, not imported, so nothing is written under
 ``perfbench/``.  The frozen rule table ``rules_data.py`` is data, not code,
@@ -24,18 +25,25 @@ EXCEPTIONS = {
 }
 
 
-def _top_level_definitions(tree):
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+def _definitions(tree):
+    """(qualified name, node) for each top-level function and class, and for
+    each method of a top-level class as "Class.method"."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
 
 
 def _public_definitions():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "rules_data.py":
             continue
-        for node in _top_level_definitions(ast.parse(path.read_text())):
-            if not node.name.startswith("_"):
-                yield path, node.name
+        for qualname, _ in _definitions(ast.parse(path.read_text())):
+            if not any(part.startswith("_") for part in qualname.split(".")):
+                yield path, qualname
 
 
 def _identifiers(node):
@@ -52,15 +60,15 @@ def _identifiers(node):
 
 
 def _uses():
-    """(path, enclosing top-level definition or None, identifier) for every
+    """(path, innermost enclosing definition or None, identifier) for every
     identifier used by the code of the searched trees."""
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text())
             owner = {}
-            for node in _top_level_definitions(tree):
+            for qualname, node in _definitions(tree):   # methods after their class
                 for line in range(node.lineno, node.end_lineno + 1):
-                    owner[line] = node.name
+                    owner[line] = qualname
             for node in ast.walk(tree):
                 for name in _identifiers(node):
                     yield path, owner.get(node.lineno), name
@@ -71,7 +79,7 @@ def test_every_public_definition_is_named_elsewhere():
     for where, owner, name in _uses():
         places[name].add((where, owner))
     # a use inside the definition itself (a recursive call) does not count
-    dead = [f"{path.stem}.{name}" for path, name in _public_definitions()
-            if not places[name] - {(path, name)}]
+    dead = [f"{path.stem}.{qualname}" for path, qualname in _public_definitions()
+            if not places[qualname.split(".")[-1]] - {(path, qualname)}]
     assert sorted(dead) == sorted(EXCEPTIONS), \
         f"public definitions used only at their own definition: {dead}"

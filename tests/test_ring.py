@@ -22,7 +22,7 @@ from c2spider.ring import (
     specialize,
 )
 from c2spider.tqft import mat_mul
-from helpers import as_laurent
+from helpers import as_laurent, conj
 
 q = LaurentPoly.q_power
 
@@ -168,7 +168,7 @@ def test_cyc_number_field_ops():
     assert x / x == CycNumber.one(16)
     assert (x * x.inverse()) == CycNumber.one(16)
     y = CycNumber.root_power(16, 5)
-    assert y * y.conj() == CycNumber.one(16)
+    assert y * conj(y) == CycNumber.one(16)
     with pytest.raises(OrderMismatch):
         x + CycNumber.one(8)
 
@@ -413,7 +413,7 @@ def test_cyc_arithmetic_matches_complex():
             assert_near(x - 3, zx - 3)
             assert_near(2 - x, 2 - zx)
             assert_near(x * -2, zx * -2)
-            assert_near(x.conj(), zx.conjugate())
+            assert_near(conj(x), zx.conjugate())
             if not x.is_zero():
                 assert_near(x.inverse(), 1 / zx)
                 assert_near(y / x, zy / zx)
@@ -436,7 +436,7 @@ def test_cyc_canonical_form():
         for _ in range(10):
             x = specialize(rand_poly(rng), order)
             y = specialize(rand_poly(rng) + 1, order)
-            for v in (x, y, x * y, x + y, x - x, x * 0, -x, x.conj(), x * Fraction(6, 4)):
+            for v in (x, y, x * y, x + y, x - x, x * 0, -x, conj(x), x * Fraction(6, 4)):
                 assert_canonical(v)
             assert (x - x).num == zero.num and (x - x).den == 1
             if not y.is_zero():

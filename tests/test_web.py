@@ -16,7 +16,7 @@ from c2spider.cache import ClaspCache
 from c2spider.engine import WebSum, eval_closed, reduce_sum, resolve_crossings
 from c2spider.ring import LaurentPoly, RationalFunction as RF, specialize
 from c2spider.rules import FaceRule, RuleTable, default_table
-from helpers import eval_at_one, loop_web
+from helpers import eval_at_one, loop_web, scalar
 
 q = LaurentPoly.q_power
 TABLE = default_table()
@@ -303,7 +303,7 @@ def test_confluence_500_random_webs(seed=702):
     rng = random.Random(seed)
     for i in range(500):
         w = random_closed_web(rng, 14)
-        value = reduce_sum(WebSum.from_web(w)).scalar()
+        value = scalar(reduce_sum(WebSum.from_web(w)))
         assert eval_closed(w) == value, f"confluence breaks on sample {i}"
         assert _random_order_value(w, rng) == value, f"confluence breaks on sample {i}"
 
