@@ -22,18 +22,20 @@ memoized on disk keyed by the relation-table hash.  These single-strand
 clasps are the only ones built: a box in a web is a clasp (n, 0).
 
 Inside diagrams clasps stay opaque boxes for as long as possible.  The box
-axioms are rewrite rules of the engine (``engine._box_rule``), so
-``reduce_sum`` drops a term as soon as a box meets a turnback, which is
-what makes theta networks tractable.  A box (n, 0) with n >= 2 is expanded
+axioms and the crossing relation are one local rewrite step of the engine
+(``engine._local_step``), so ``reduce_sum`` drops a term as soon as a box
+meets a turnback, also between two smoothings, which is what makes theta
+networks and braids on a box tractable.  A box (n, 0) with n >= 2 is expanded
 by the recursion at the level of boxes, T0 + c1 T0 E T0 + c2 T0 G T0 with
 T0 a box of n-1 beside a strand, as recoupling theory does it (L. Kauffman
 and S. Lins, "Temperley-Lieb Recoupling Theory and Invariants of
 3-Manifolds", 1994).  That is the one expansion step, an engine rewrite
 (``engine._expand_one_box``, with ``engine.recursion_coefficients``).
 Closed networks, traces and thetas among them, are valued in
-``engine.eval_closed``: it expands one box of each connected component,
-values the pieces in turn and keeps each component's value under its
-canonical key, so no network is flattened.
+``engine.eval_closed``: it takes one step on each connected component (the
+local step, else one box expansion, else a face rule), values the pieces in
+turn and keeps each component's value under its canonical key, so no
+network is flattened.
 The flat P_n of ``clasp_expand`` is the step repeated on one open box; it
 serves the CLI, ``turnback_kill`` and ``idempotent``.
 
@@ -49,8 +51,8 @@ import functools
 from . import engine as eng
 from . import web as wb
 from .cache import KEY_PREFIX, ClaspCache
-from .engine import (WebSum, recursion_coefficients, reduce_sum, resolve_crossings,
-                     sum_compose, sum_is_zero)
+from .engine import (WebSum, recursion_coefficients, reduce_sum, sum_compose,
+                     sum_is_zero)
 from .ring import (CycNumber, DenominatorVanishes, RationalFunction,
                    cyclotomic_orders, specialize)
 from .rules import RuleTable, default_table
@@ -374,12 +376,12 @@ def _check_braid_word(word, n: int):
 
 
 def prune_box_sum(ws: WebSum, ctx: ClaspContext = None) -> WebSum:
-    """Reduce a sum of webs containing opaque clasp boxes and crossings,
-    dropping every term in which a box meets a turnback: the crossings are
-    smoothed by ``resolve_crossings`` and the rest is reduced by
-    ``reduce_sum``."""
+    """``reduce_sum`` of a sum of webs with opaque clasp boxes and crossings
+    under the context's table: every term in which a box meets a turnback
+    is dropped.  Kept as a name of its own, which perfbench/tracer.py
+    times."""
     ctx = ctx or default_context()
-    return reduce_sum(resolve_crossings(ws, ctx.table), ctx.table)
+    return reduce_sum(ws, ctx.table)
 
 
 def braid_eigenvalue(word, n: int, ctx: ClaspContext = None,

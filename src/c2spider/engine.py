@@ -1,27 +1,30 @@
 """Reduction engine: rewrite webs to normal form using the relation table.
 
-Reduction terminates by construction.  A face rule fires only on an m-gon
-with m distinct trivalent corners, crossings are resolved once beforehand,
-and ``RuleTable`` refuses at construction any face rule with a right-hand
-term of m or more vertices, so every rewrite strictly lowers the vertex
-count.  The box rules of ``_box_rule`` lower it too, or drop the term: a
-clasp box (n, 0) kills a turnback on two adjacent legs, straightens a
-sideways bridge standing on them and absorbs an equal box stacked on it.
-Killing and absorbing are axioms of the clasp; straightening holds because
-the square relation is monic in the frozen table's normalization and its
-other terms are turnbacks.  Closed crossing-free webs always contain a
-reducible face (a discrete Gauss-Bonnet count over the sphere forces
-positive-curvature faces to exist); a table lacking the rule for one raises
-``NonTerminating``.
+Reduction terminates by construction.  ``reduce_sum`` takes one rewrite at
+a time, ``_local_step`` (a box rule or a smoothing) and, when that finds
+nothing, a face rule, and each lowers (crossings, vertices)
+lexicographically.  A smoothing removes one crossing and adds at most two
+vertices.  A face rule fires only on an m-gon with m distinct trivalent
+corners, and ``RuleTable`` refuses at construction any face rule with a
+right-hand term of m or more vertices, so it lowers the vertex count.  The
+box rules of ``_box_rule`` lower it too, or drop the term: a clasp box
+(n, 0) kills a turnback on two adjacent legs, straightens a sideways bridge
+standing on them and absorbs an equal box stacked on it.  Killing and
+absorbing are axioms of the clasp; straightening holds because the square
+relation is monic in the frozen table's normalization and its other terms
+are turnbacks.  Neither adds a crossing.  Closed crossing-free webs always
+contain a reducible face (a discrete Gauss-Bonnet count over the sphere
+forces positive-curvature faces to exist); a table lacking the rule for one
+raises ``NonTerminating``.
 
 Closed webs are valued by ``eval_closed``, the one evaluator of closed
 networks, with clasp boxes, crossings or both.  Its recursion terminates
 too: each step lowers (crossings, box sizes, vertices) lexicographically.  A
-smoothing removes a crossing.  A box step (``_expand_one_box``) replaces a
-box on n strands by at most two boxes on n-1 strands, so the multiset of box
-sizes decreases in the multiset order, which is well-founded.  Face rules
-keep the boxes, box rules keep them or remove one, and both lower the vertex
-count.  No step adds a crossing.
+smoothing removes a crossing.  A box step (``_expand_one_box``), taken on a
+web without crossings, replaces a box on n strands by at most two boxes on
+n-1 strands, so the multiset of box sizes decreases in the multiset order,
+which is well-founded.  Face rules keep the boxes, box rules keep them or
+remove one, and both lower the vertex count.  No step adds a crossing.
 
 Equality of open webs is decided through the closed pairing
 ``<X, Y> = eval(plug(mirror(X), Y))``, a symmetric bilinear form.  It is not
@@ -351,23 +354,24 @@ def _box_rule(web: Web, v):
 
 def _box_positions(web: Web):
     """The web's clasp boxes, lowest id first."""
-    return [v for v in sorted(web.vkind) if web.vkind[v] == "clasp"]
+    return sorted([v for v, kind in web.vkind.items() if kind == "clasp"])
 
 
-def _settle(web: Web):
-    """The web with the box rules applied until none applies, or None.  A
-    pass returns None at the first dead box, before it splices anything,
-    and otherwise splices the first rewrite it found."""
-    while True:
-        rewrite = None
-        for v in _box_positions(web):
-            rule = _box_rule(web, v)
-            if rule == "dead":
-                return None
-            rewrite = rewrite or rule
-        if rewrite is None:
-            return web
-        web = _splice(web, *rewrite)[0]
+def _local_step(web: Web, table: RuleTable):
+    """One rewrite that needs no face, as (coefficient, web) pairs: [] when
+    a box meets a turnback, checked at every box before anything is
+    spliced; else the first box rewrite that pass found; else the three
+    smoothings of ``resolve_crossings``; else None.  ``reduce_sum`` and
+    ``_step`` share it, so the boxes are settled before each smoothing."""
+    rewrite = None
+    for v in _box_positions(web):
+        rule = _box_rule(web, v)
+        if rule == "dead":
+            return []
+        rewrite = rewrite or rule
+    if rewrite is not None:
+        return [(_ONE, _splice(web, *rewrite)[0])]
+    return resolve_crossings(web, table) if web.has_kind("cross") else None
 
 
 def recursion_coefficients(n: int):
@@ -415,8 +419,10 @@ def _recursion_webs(n):
 
 
 def _expand_one_box(web: Web, table: RuleTable) -> WebSum:
-    """Expand one box of a settled web; ``reduce_sum`` settles and reduces
-    the pieces, and drops the dead ones before they are keyed.
+    """Expand one box of a settled web, one on which ``_local_step`` finds
+    nothing: no box rule applies and no crossing is left.  ``reduce_sum``
+    settles and reduces the pieces, and drops the dead ones before they are
+    keyed.
 
     A box (n, 0), n >= 2, becomes the three webs of ``_recursion_webs``; a
     box of at most one strand is the identity on its strands.  The smallest
@@ -452,9 +458,10 @@ def _pick_face(web: Web, table: RuleTable):
 
 def reduce_sum(ws, table: RuleTable = None) -> WebSum:
     """Rewrite every diagram of a web, a ``WebSum`` or (coefficient, web)
-    pairs until no box rule and no face rule applies.  A web with boxes is
-    settled before a face is picked, so one whose box meets a turnback is
-    dropped unkeyed.  Crossings are refused: resolve them first."""
+    pairs until no box rule, crossing or face rule is left: each diagram
+    takes ``_local_step``, and a face rule when that finds nothing.  So a
+    web is settled and its crossings are smoothed before a face is picked,
+    and one whose box meets a turnback is dropped unkeyed."""
     table = table or default_table()
     if isinstance(ws, Web):
         ws = WebSum.from_web(ws)
@@ -462,22 +469,18 @@ def reduce_sum(ws, table: RuleTable = None) -> WebSum:
     stack = [(c, w) for c, w in ws]
     while stack:
         coeff, w = stack.pop()
-        if w.has_kind("cross"):
-            raise ValueError("reduce expects a web without crossings: "
-                             "resolve them first")
-        if w.has_kind("clasp"):
-            w = _settle(w)
-            if w is None:
+        pieces = _local_step(w, table)
+        if pieces is None:
+            coeff, w = _strip_loops(coeff, w, table)
+            if coeff.is_zero():
                 continue
-        coeff, w = _strip_loops(coeff, w, table)
-        if coeff.is_zero():
-            continue
-        pick = _pick_face(w, table)
-        if pick is None:
-            out.add(coeff, w)
-            continue
-        for c2, w2 in apply_face_rule(w, *pick[1:]):
-            stack.append((coeff * c2, w2))
+            pick = _pick_face(w, table)
+            if pick is None:
+                out.add(coeff, w)
+                continue
+            pieces = apply_face_rule(w, *pick[1:])
+        # a box rewrite has coefficient 1; a product would renormalize coeff
+        stack.extend((coeff if c2 is _ONE else coeff * c2, w2) for c2, w2 in pieces)
     return out
 
 
@@ -486,13 +489,11 @@ def eval_closed(w, table: RuleTable = None) -> RationalFunction:
     coefficient of the empty web).  Closed networks are valued here, and
     only here, with clasp boxes, crossings or both.
 
-    Crossings are smoothed by ``resolve_crossings``, and a term is settled
-    and dropped if one of its boxes meets a turnback.  A whole web is never
-    keyed: it is split into connected components by
+    A whole web is never keyed: it is split into connected components by
     ``Web.closed_components``, and each component's value is kept in
-    ``eval_memo(table)``.  A component not in the memo takes one step, by
-    ``_expand_one_box`` if it has a box and by a face rule otherwise, and
-    its pieces are valued in the same way.
+    ``eval_memo(table)``, crossings and all.  A component not in the memo
+    takes one ``_step`` (a box rule, a smoothing, a box expansion or a face
+    rule), and its pieces are valued in the same way.
     """
     table = table or default_table()
     memo = eval_memo(table)
@@ -500,18 +501,12 @@ def eval_closed(w, table: RuleTable = None) -> RationalFunction:
     for coeff, web in ([(_ONE, w)] if isinstance(w, Web) else w):
         if web.boundary:
             raise ValueError("eval_closed needs a closed web")
-        work = resolve_crossings(web, table) if web.has_kind("cross") else [(_ONE, web)]
-        for c, ww in work:
-            if ww.has_kind("clasp"):
-                ww = _settle(ww)
-                if ww is None:
-                    continue
-            k, value = coeff * c, _eval_plain(ww, table, memo)
-            total = total + (value if k == _ONE else k * value)
+        value = _eval_components(web, table, memo)
+        total = total + (value if coeff == _ONE else coeff * value)
     return total
 
 
-def _eval_plain(web: Web, table, memo) -> RationalFunction:
+def _eval_components(web: Web, table, memo) -> RationalFunction:
     """The product of the values of the web's free loops and components,
     multiplying only factors that exist.  A component not in the memo is
     valued through the pieces of one ``_step``."""
@@ -524,15 +519,19 @@ def _eval_plain(web: Web, table, memo) -> RationalFunction:
         if value is None:
             value = _ZERO
             for c, piece in _step(comp, table):
-                value = value + c * _eval_plain(piece, table, memo)
+                value = value + c * _eval_components(piece, table, memo)
             memo[key] = value
         factors.append(value)
     return functools.reduce(operator.mul, factors) if factors else _ONE
 
 
 def _step(web: Web, table):
-    """One rewrite of a connected closed web: ``_expand_one_box`` if it has a
-    box, else the face rule of ``_pick_face``."""
+    """One rewrite of a connected closed web: ``_local_step``, else
+    ``_expand_one_box`` if a box is left, else the face rule of
+    ``_pick_face``."""
+    pieces = _local_step(web, table)
+    if pieces is not None:
+        return pieces
     if web.has_kind("clasp"):
         return _expand_one_box(web, table)
     pick = _pick_face(web, table)
@@ -554,41 +553,19 @@ def eval_memo(table: RuleTable) -> dict:
 # crossings
 
 
-def resolve_crossings(w, table: RuleTable = None) -> list:
-    """(coefficient, web) pairs without crossings, unmerged: every formal
-    crossing of a web, a ``WebSum`` or pairs expanded into the three-term
-    sum of ``_smooth``, lowest crossing id first.  A web with clasp boxes is
-    settled before each smoothing, and dropped if a box meets a turnback."""
-    table = table or default_table()
-    out = []
-    stack = [(_ONE, w)] if isinstance(w, Web) else list(w)
-    while stack:
-        coeff, web = stack.pop()
-        v = _first_vertex(web, "cross")
-        if v is None:
-            out.append((coeff, web))
-            continue
-        if web.has_kind("clasp"):
-            web = _settle(web)
-            if web is None:
-                continue
-        stack.extend((coeff * k, w2) for k, w2 in _smooth(web, v, table))
-    return out
-
-
-def _first_vertex(w: Web, kind: str):
-    """The lowest-id vertex of the kind, or None."""
-    return next((x for x in sorted(w.vkind) if w.vkind[x] == kind), None)
-
-
-def _smooth(web: Web, v, table: RuleTable):
-    """The three-term skein relation at crossing ``v``: [(coeff, web)] * 3.
+def resolve_crossings(web: Web, table: RuleTable = None):
+    """The three-term skein relation at the web's lowest crossing,
+    [(coeff, web)] * 3, or None when it has no crossing: the one smoothing.
 
     The first term (coefficient A) joins each over-strand leg to its
     clockwise neighbour; the remaining two terms join over-strand legs to
     their counterclockwise neighbours, without and with the double-edge
-    bridge.
+    bridge.  Each term has one crossing fewer and at most two vertices more.
     """
+    v = min((x for x, kind in web.vkind.items() if kind == "cross"), default=None)
+    if v is None:
+        return None
+    table = table or default_table()
     if table.crossing is None:
         raise ValueError("relation table carries no crossing data")
     legs = web.vlegs[v]

@@ -51,6 +51,9 @@ class Spine:
             if self.n_vertices or self.edges:
                 raise ValueError("the circle spine has no vertices or edges")
             return
+        if not self.n_vertices:
+            raise ValueError("a spine without vertices is the circle: "
+                             "set circle, or give trivalent vertices")
         if 2 * len(self.edges) != 3 * self.n_vertices:   # before sizing by n_vertices
             raise ValueError(f"a trivalent spine on {self.n_vertices} vertices has "
                              f"3n/2 edges, not {len(self.edges)}")
@@ -63,7 +66,7 @@ class Spine:
         bad = [i for i, d in enumerate(deg) if d != 3]
         if bad:
             raise ValueError(f"vertices {bad} are not trivalent")
-        if self.n_vertices and not self._connected():
+        if not self._connected():
             raise ValueError("spine must be connected")
 
     def _connected(self) -> bool:

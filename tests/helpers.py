@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from c2spider import clasp as cl
+from c2spider import engine as eng
 from c2spider import faithful as ff
 from c2spider import web as wb
 from c2spider.ring import CycNumber, RationalFunction, _galois, _raw
@@ -24,6 +25,36 @@ def e_at(n, i) -> wb.Web:
 def g_at(n, i) -> wb.Web:
     """The double-edge bridge G on strands i, i+1 of n single strands."""
     return cl._at(n, i, wb.compose(wb.split_vertex_web(), wb.merge_vertex_web()))
+
+
+def settle(web):
+    """The web with the engine's box rules applied until none applies, or
+    None when a box meets a turnback: the box half of ``engine._local_step``
+    looped to a fixpoint.  Crossings are left alone."""
+    while True:
+        rules = [eng._box_rule(web, v) for v in eng._box_positions(web)]
+        if "dead" in rules:
+            return None
+        rewrite = next(filter(None, rules), None)
+        if rewrite is None:
+            return web
+        web = eng._splice(web, *rewrite)[0]
+
+
+def resolve_fully(web, table) -> list:
+    """(coefficient, web) pairs without crossings, unmerged: every crossing
+    smoothed by ``engine.resolve_crossings``, lowest first, without looking
+    at the boxes.  The eager resolution that lazy smoothing is checked
+    against."""
+    out, stack = [], [(RationalFunction.coerce(1), web)]
+    while stack:
+        coeff, w = stack.pop()
+        pieces = eng.resolve_crossings(w, table)
+        if pieces is None:
+            out.append((coeff, w))
+        else:
+            stack.extend((coeff * k, w2) for k, w2 in pieces)
+    return out
 
 
 def scalar(ws) -> RationalFunction:

@@ -18,7 +18,7 @@ from c2spider.ring import (DenominatorVanishes, LaurentPoly,
                            specialize)
 from c2spider.rules import RuleTable, default_table
 from c2spider.tqft import Spine
-from helpers import e_at, g_at, scalar
+from helpers import e_at, g_at, resolve_fully, scalar, settle
 
 q = LaurentPoly.q_power
 
@@ -104,7 +104,7 @@ def _worklist_expand_boxes(web, ctx):
     stack = [(RF.coerce(1), web)]
     while stack:
         coeff, w = stack.pop()
-        w = eng._settle(w)
+        w = settle(w)
         if w is None:
             continue
         if not eng._box_positions(w):
@@ -390,7 +390,7 @@ def _flat_value(web, ctx):
     stack = [(RF.coerce(1), web)]
     while stack:
         coeff, w = stack.pop()
-        w = eng._settle(w)
+        w = settle(w)
         if w is None:
             continue
         boxes = eng._box_positions(w)
@@ -402,7 +402,7 @@ def _flat_value(web, ctx):
         pieces = eng._splice(w, {v}, list(w.vlegs[v]), [eng.to_mini(d) for _, d in p])
         partial = eng.WebSum()
         for (c, _), piece in zip(p, pieces):
-            piece = eng._settle(piece)
+            piece = settle(piece)
             if piece is not None:
                 partial.add(coeff * c, piece)
         stack.extend(eng.reduce_sum(partial, table=ctx.table))
@@ -567,8 +567,9 @@ def _ref_absorb_step(web):
 
 
 def _reference_settle(web):
-    """Reference for engine._settle: every box checked for a turnback, then
-    all straightening before any absorption, one step at a time."""
+    """Reference for the engine's box rules looped to a fixpoint: every box
+    checked for a turnback, then all straightening before any absorption,
+    one step at a time."""
     while True:
         if any(_ref_box_is_dead(web, v) for v in _ref_boxes(web)):
             return None
@@ -579,18 +580,20 @@ def _reference_settle(web):
 
 
 def test_settle_agrees_with_the_reference(ctx, monkeypatch):
-    # every web the box rules see while four thetas are valued, networks
-    # and unsettled pieces alike: None exactly when the reference gives
-    # None, else a web with the reference's key
+    # every web with a box that the local step sees while four thetas are
+    # valued, networks and unsettled pieces alike: the box rules looped to
+    # a fixpoint give None exactly when the reference does, else a web with
+    # the reference's key, and the step drops no web the reference keeps
     monkeypatch.setattr(eng, "_EVAL_MEMO", {})
     seen = []
-    settle = eng._settle
+    step = eng._local_step
 
-    def spy(web):
-        seen.append(web)
-        return settle(web)
+    def spy(web, table):
+        if web.has_kind("clasp"):
+            seen.append(web)
+        return step(web, table)
 
-    monkeypatch.setattr(eng, "_settle", spy)
+    monkeypatch.setattr(eng, "_local_step", spy)
     for t in ((4, 4, 4), (5, 5, 4), (4, 5, 5), (6, 6, 4)):
         cl.theta_net(*t, ctx)
     monkeypatch.undo()
@@ -598,6 +601,7 @@ def test_settle_agrees_with_the_reference(ctx, monkeypatch):
     for web in seen:
         got, want = settle(web), _reference_settle(web)
         assert (got is None) == (want is None)
+        assert want is None or step(web, ctx.table) != []
         if got is None:
             outcomes["dead"] += 1
         else:
@@ -707,15 +711,15 @@ def test_braid_check_stays_on_the_box_fast_path(ctx, monkeypatch):
     # settled web, and no clasp is expanded or pairing taken
     monkeypatch.setattr(eng, "_EVAL_MEMO", {})
     smoothed = []
-    smooth = eng._smooth
+    smooth = eng.resolve_crossings
 
     def spy(web, *args, **kwargs):
-        settled = eng._settle(web)
+        settled = settle(web)
         smoothed.append(settled is not None and
                         settled.canonical_key() == web.canonical_key())
         return smooth(web, *args, **kwargs)
 
-    monkeypatch.setattr(eng, "_smooth", spy)
+    monkeypatch.setattr(eng, "resolve_crossings", spy)
     monkeypatch.setattr(cl, "sum_is_zero", _refuse)
     monkeypatch.setattr(cl, "expand_boxes", _refuse)
     words = [(w, n) for n, max_len in ((2, 4), (3, 4), (4, 3))
@@ -728,20 +732,6 @@ def test_braid_check_stays_on_the_box_fast_path(ctx, monkeypatch):
     assert smoothed and all(smoothed)
 
 
-def _smoothed_without_settling(web, table):
-    """Every crossing of the web smoothed, lowest id first, without looking
-    at its boxes: the full resolution the pruning is checked against."""
-    out, stack = [], [(RF.coerce(1), web)]
-    while stack:
-        coeff, w = stack.pop()
-        v = eng._first_vertex(w, "cross")
-        if v is None:
-            out.append((coeff, w))
-        else:
-            stack.extend((coeff * k, w2) for k, w2 in eng._smooth(w, v, table))
-    return out
-
-
 def test_box_pruning_smooths_crossings_like_full_resolution(ctx):
     # smoothing crossings one at a time inside the pruning gives the same
     # sum, term for term, as resolving them all first
@@ -750,9 +740,75 @@ def test_box_pruning_smooths_crossings_like_full_resolution(ctx):
         for word in _words(n, 3):
             composite = wb.compose(cl.braid_web(word, n), box)
             lazy = cl.prune_box_sum(eng.WebSum.from_web(composite), ctx)
-            eager = cl.prune_box_sum(_smoothed_without_settling(composite, ctx.table), ctx)
+            eager = cl.prune_box_sum(resolve_fully(composite, ctx.table), ctx)
             assert {k: c for k, (c, _) in lazy.terms.items()} == \
                 {k: c for k, (c, _) in eager.terms.items()}, (word, n)
+
+
+def _crossings_and_vertices(web):
+    return sum(kind == "cross" for kind in web.vkind.values()), web.n_vertices()
+
+
+def test_every_step_lowers_the_termination_measure(ctx, monkeypatch):
+    # each piece of a local step (box rule or smoothing) or of a face rule
+    # has fewer (crossings, vertices), lexicographically, and a box
+    # expansion lowers the multiset of box sizes: _box_sizes sorts them
+    # largest first, and such tuples compare as the multisets do.  Seeded
+    # braid words on a box, reduced open and valued closed, and theta(4,4,4)
+    monkeypatch.setattr(eng, "_EVAL_MEMO", {})
+    steps = {"box rule": 0, "smoothing": 0, "face": 0, "expansion": 0}
+    bad = []
+    local, face, expand = eng._local_step, eng.apply_face_rule, eng._expand_one_box
+
+    def check(kind, web, pieces, measure):
+        steps[kind] += 1
+        bad.extend((kind, web) for _, w in pieces if not measure(w) < measure(web))
+        return pieces
+
+    def spy_local(web, table):
+        pieces = local(web, table)
+        if pieces:
+            kind = "smoothing" if len(pieces) == 3 else "box rule"
+            check(kind, web, pieces, _crossings_and_vertices)
+        return pieces
+
+    monkeypatch.setattr(eng, "_local_step", spy_local)
+    monkeypatch.setattr(eng, "apply_face_rule", lambda web, *rule: check(
+        "face", web, face(web, *rule), _crossings_and_vertices))
+    monkeypatch.setattr(eng, "_expand_one_box", lambda web, table: check(
+        "expansion", web, expand(web, table), cl._box_sizes))
+    rng = random.Random(20261022)
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        word = rng.choice(_words(n, 4)[1:])
+        web = wb.compose(cl.braid_web(word, n), wb.clasp_box_web(n))
+        cl.prune_box_sum(eng.WebSum.from_web(web), ctx)
+        eng.eval_closed(wb.trace_closure(web), ctx.table)
+    cl.theta_net(4, 4, 4, ctx)
+    assert not bad
+    assert min(steps.values()) > 10, steps
+
+
+def test_closed_values_agree_with_eager_resolution(ctx, monkeypatch):
+    # eval_closed smooths a crossing at a time inside its recursion and
+    # keeps components that still have crossings in its memo; the
+    # reference resolves every crossing first and values the crossing-free
+    # terms, with a memo of its own.  Every braid closure of length <= 3 on
+    # 2 and 3 strands, with and without a box
+    closures = []
+    for n in (2, 3):
+        for word in _words(n, 3):
+            braid = cl.braid_web(word, n)
+            closures.append(wb.trace_closure(braid))
+            closures.append(wb.trace_closure(wb.compose(braid, wb.clasp_box_web(n))))
+    assert len(closures) == 200
+    monkeypatch.setattr(eng, "_EVAL_MEMO", {})
+    eager = [eng.eval_closed(resolve_fully(w, ctx.table), ctx.table) for w in closures]
+    monkeypatch.setattr(eng, "_EVAL_MEMO", {})
+    lazy = [eng.eval_closed(w, ctx.table) for w in closures]
+    assert lazy == eager
+    boxed = wb.trace_closure(wb.compose(cl.braid_web([1, 2], 3), wb.clasp_box_web(3)))
+    assert boxed.canonical_key() in eng.eval_memo(ctx.table)
 
 
 def test_every_braid_word_acts_on_the_box_by_its_scalar(ctx):

@@ -258,6 +258,16 @@ def test_malformed_spine_file_is_a_domain_error(capsys, tmp_path):
     assert report["error"] == "ValueError" and "'edges'" in report["message"]
 
 
+def test_vertexless_spine_without_circle_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "spine.json"
+    path.write_text(json.dumps({"vertices": 0, "edges": []}))
+    code, out, err = run(capsys, "tqft", "dim", "--spine", str(path), "--level", "1")
+    assert code == 1 and not out
+    report = json.loads(err)
+    assert report["error"] == "ValueError"
+    assert "without vertices is the circle" in report["message"]
+
+
 def test_malformed_walk_file_is_a_domain_error(capsys, tmp_path):
     spine_path = tmp_path / "theta.json"
     spine_path.write_text(json.dumps(Spine.theta_graph().to_json()))

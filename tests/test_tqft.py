@@ -87,6 +87,10 @@ def test_spine_validation():
         Spine(4, ((0, 1), (0, 1), (0, 1), (2, 3), (2, 3), (2, 3))).validate()
     with pytest.raises(ValueError, match="3n/2 edges"):   # before sizing by n
         Spine(10 ** 7, ()).validate()
+    # only the circle has no vertices: without the flag, a vertexless spine
+    # is refused before its genus or gluing order is taken
+    with pytest.raises(ValueError, match="without vertices is the circle"):
+        Spine.from_json({"vertices": 0, "edges": []})
 
 
 def test_spine_genus():

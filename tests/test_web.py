@@ -225,11 +225,24 @@ def test_theta_value_consistent_with_clasp_degenerate():
     assert val == beta_ss * TABLE.loop["d"]
 
 
-def test_reduce_rejects_boxes_and_crossings():
-    # crossings are refused; a bare box is settled, and survives, while a
-    # box under a cap meets a turnback and is dropped
-    with pytest.raises(ValueError):
-        reduce_sum(WebSum.from_web(wb.crossing_web(True)))
+def test_reduce_smooths_crossings_and_settles_boxes():
+    # a crossing reduces to the reduced sum of its three smoothings; a bare
+    # box is settled, and survives, while a box under a cap meets a
+    # turnback and is dropped
+    for over in (True, False):
+        cross = wb.crossing_web(over)
+        smoothings = resolve_crossings(cross)
+        assert len(smoothings) == 3
+        assert not any(w.has_kind("cross") for _, w in smoothings)
+        want = WebSum()
+        for c, w in smoothings:
+            for c2, w2 in reduce_sum(w):
+                want.add(c * c2, w2)
+        got = reduce_sum(WebSum.from_web(cross))
+        assert {k: c for k, (c, _) in got.terms.items()} == \
+            {k: c for k, (c, _) in want.terms.items()}
+        assert len(got) == 3
+    assert resolve_crossings(wb.clasp_box_web(2)) is None
     box = wb.clasp_box_web(2)
     (c, w), = reduce_sum(WebSum.from_web(box))
     assert c == RF.coerce(1) and w.canonical_key() == box.canonical_key()
