@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .ring import (CycNumber, LaurentPoly, RationalFunction, cyc_dot, cyc_matrix_dots,
+from .ring import (CycNumber, LaurentPoly, RationalFunction, TripleSums, cyc_matrix_dots,
                    qint, specialize)
 
 
@@ -289,7 +289,12 @@ def twist_exponent(w) -> int:
 class ModularData:
     """Level-k modular data (Bakalov-Kirillov, ch. 3).  S~ is real and
     symmetric, since every simple of sp(4) is self-dual (see
-    ``modular_data``), so S~ is its own conjugate and its own transpose."""
+    ``modular_data``), so S~ is its own conjugate and its own transpose.
+
+    What the Verlinde formula reads is built once per instance, on first
+    use, and kept as cached properties (not fields, so a copy or a
+    comparison ignores them): the inverses of the vacuum row and one
+    integer packing of the rows of S~ with the Verlinde weights."""
     level: int
     order: int
     simples: list
@@ -313,30 +318,13 @@ class ModularData:
         return [x.inverse() for x in row]
 
     @cached_property
-    def verlinde_rows(self) -> list:
-        """Row nu holds S~[nu][i] * vacuum_inv[i] / s_norm_sq, the factors of
-        the Verlinde sum that do not depend on lam and mu (S~ is real, so
-        the conjugate of S~[nu][i] is itself)."""
+    def verlinde_packing(self) -> TripleSums:
+        """The Verlinde sums N(i, j, l) = sum over s of S~[i][s] S~[j][s]
+        S~[l][s] vacuum_inv[s] / s_norm_sq (S~ is real, so the conjugate of
+        S~[l][s] is itself), packed once: the rows of S~ and the weights
+        vacuum_inv[s] / s_norm_sq (``ring.TripleSums``)."""
         scale = self.s_norm_sq.inverse()
-        weights = [inv * scale for inv in self.vacuum_inv]
-        return [[z * w for z, w in zip(row, weights)] for row in self.s_tilde]
-
-    @cached_property
-    def _row_products(self) -> dict:
-        """(i, j) -> ``row_product(i, j)`` for i <= j, filled as asked; a
-        cached property, not a field, so a copy or a comparison ignores it."""
-        return {}
-
-    def row_product(self, i: int, j: int) -> list:
-        """The entrywise product of rows i and j of S~, the factors of the
-        Verlinde sum that depend on lam and mu.  It is symmetric in i and j,
-        so it is computed once per unordered pair and kept."""
-        key = (i, j) if i <= j else (j, i)
-        row = self._row_products.get(key)
-        if row is None:
-            si, sj = self.s_tilde[i], self.s_tilde[j]
-            row = self._row_products[key] = [x * y for x, y in zip(si, sj)]
-        return row
+        return TripleSums(self.s_tilde, [inv * scale for inv in self.vacuum_inv])
 
 
 @lru_cache(maxsize=None)
@@ -345,7 +333,9 @@ def modular_data(k: int) -> ModularData:
     checked exactly.
 
     S~_{lam mu} = sum over w in W(C2) of det(w) q^(-2 <w(lam+rho), mu+rho>)
-    is real and symmetric:
+    is built from its exponents: the 8 of each entry are folded mod N into
+    one integer list, which is reduced once by Phi_N
+    (``CycNumber.root_sum``).  S~ is real and symmetric:
     - -1 is in W(C2) with det +1, so the terms pair off as q^x + q^-x, and
       q^-x is the conjugate of q^x at a root of unity;
     - <wu, v> = <u, w^-1 v> and det(w^-1) = det(w), so summing over w^-1
@@ -353,7 +343,10 @@ def modular_data(k: int) -> ModularData:
     Hence S~ S~+ = S~ S~^T, whose (i, j) entry is the product of rows i and
     j; it is symmetric in i and j, so the rows are multiplied for i <= j
     only (``_gram_scalar``).  All n^2 entries of S~ are computed, so tests
-    can check both properties on them."""
+    can check both properties on them, and the Galois symmetry as well:
+    q -> q^l maps S~_{lam mu} to det S~_{pi(lam) mu}, where the affine Weyl
+    group folds l(lam + rho) to pi(lam) + rho with sign det (Coste-Gannon,
+    Phys. Lett. B 323, 1994)."""
     if k < 1:
         raise ValueError("level must be at least 1")
     n = q_order(k)
@@ -362,8 +355,7 @@ def modular_data(k: int) -> ModularData:
     s_tilde = []
     for u in rho_shift:
         images = [(_weyl_apply(elem, u), elem[3]) for elem in _WEYL]
-        s_tilde.append([specialize(LaurentPoly([(-2 * ip(wu, v), sign)
-                                                for wu, sign in images]), n)
+        s_tilde.append([CycNumber.root_sum(n, [(-2 * ip(wu, v), sign) for wu, sign in images])
                         for v in rho_shift])
     t_diag = [CycNumber.root_power(n, twist_exponent(w)) for w in objs]
     s00 = s_tilde[0][0]
@@ -393,12 +385,9 @@ def _gram_scalar(s) -> CycNumber:
 
 
 def verlinde_multiplicity(md: ModularData, lam, mu, nu) -> int:
-    """Fusion multiplicity from the Verlinde formula, exactly: one
-    ``cyc_dot`` of the kept ``row_product`` of lam and mu with the Verlinde
-    row of nu."""
-    acc = cyc_dot(md.row_product(md.index(lam), md.index(mu)),
-                  md.verlinde_rows[md.index(nu)])
-    r = acc.as_rational()
-    if r.denominator != 1 or r < 0:
-        raise NonIntegerResult(f"Verlinde number {r} is not a nonnegative integer")
-    return int(r)
+    """Fusion multiplicity from the Verlinde formula, exactly: one sum of
+    the Verlinde packing of ``md``, n products of three packed integers."""
+    acc = md.verlinde_packing.at(md.index(lam), md.index(mu), md.index(nu))
+    if acc.den != 1 or any(acc.num[1:]) or acc.num[0] < 0:
+        raise NonIntegerResult(f"Verlinde number {acc} is not a nonnegative integer")
+    return acc.num[0]

@@ -194,6 +194,8 @@ def cmd_faithful_certify(args):
 
 
 def cmd_faithful_torus(args):
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     table = []
     for n in range(1, args.max_n + 1):
         table.append({"twist_power": n,

@@ -20,11 +20,15 @@ Three scalar domains, all exact (no floating point):
   A sum of products is one kernel, ``cyc_dot``: the integer convolutions of
   all pairs add up over one denominator, then reduce by Phi_N and to lowest
   terms once.  A single product is the kernel on one pair.  Matrix-shaped
-  sums are ``cyc_matrix_dots``: each coefficient vector is packed once into
-  one integer (Kronecker substitution), at a width above a bound on every
-  coefficient of the unreduced sums, so the result is exact with certainty.
-  ``cyc_dot`` keeps its loop: for a lone short sum packing costs more than
-  it saves.
+  sums are ``cyc_matrix_dots``, and the repeated sums of triple products of
+  the Verlinde formula ``TripleSums``: each coefficient vector is packed
+  once into one integer (Kronecker substitution) and reused by every sum
+  that reads it, at a width above a bound on every coefficient of the
+  unreduced sums, so the result is exact with certainty.  ``cyc_dot`` keeps
+  its loop: for a lone short sum packing costs more than it saves.  A
+  product by a root power q^e is a shift of coefficients
+  (``CycNumber.times_root``), and a sum of signed root powers is folded
+  into one list (``CycNumber.root_sum``); each is reduced once.
 
 Quantum integers use the symmetric convention [n] = (q^n - q^-n)/(q - q^-1),
 so [n] specializes to zero at a root of unity of order N exactly when N | 2n.
@@ -442,13 +446,13 @@ def _galois(num, j: int, n: int) -> list:
     return out
 
 
-def _fold(p: LaurentPoly, n: int):
-    """p with exponents folded mod n (q^n = 1 modulo Phi_n): an integer list
-    of length n and one common denominator."""
+def _fold(terms, n: int) -> list:
+    """The sum of c q^e over the integer pairs (e, c) of terms, exponents
+    folded mod n (q^n = 1 modulo Phi_n): an integer list of length n."""
     vec = [0] * n
-    for e, c in p.num.items():
+    for e, c in terms:
         vec[e % n] += c
-    return vec, p.den
+    return vec
 
 
 class RationalFunction:
@@ -733,7 +737,10 @@ def cyc_dot(xs, ys) -> "CycNumber":
     Pairs with a zero factor are skipped; the others must have the order of
     xs[0] (OrderMismatch otherwise).  Their integer convolutions, scaled to
     the lcm of the pairs' denominators, add up in one list of length
-    2 deg Phi_N - 1, which is reduced by Phi_N and put in lowest terms."""
+    2 deg Phi_N - 1, which is reduced by Phi_N and put in lowest terms.
+    This is the kernel for a lone sum, whose factors are used once; sums
+    over rows that are used again are packed once instead
+    (``cyc_matrix_dots``, ``TripleSums``)."""
     order = xs[0].order
     pairs, den = [], 1
     for x, y in zip(xs, ys):
@@ -784,6 +791,22 @@ def _pack(num, bits: int) -> int:
     return v
 
 
+@lru_cache(maxsize=None)
+def _digit_offset(bits: int, length: int) -> int:
+    """2^(bits-1) packed into each of ``length`` digits."""
+    return _pack([1 << (bits - 1)] * length, bits)
+
+
+def _unpack(v: int, bits: int, length: int) -> list:
+    """The coefficients num of v = ``_pack(num, bits)``, len(num) = length,
+    given that every |num[i]| < 2^(bits-1): they are the balanced base-2^bits
+    digits of v.  Adding 2^(bits-1) to every digit makes them all
+    nonnegative, so they are read off as plain base-2^bits digits."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    v += _digit_offset(bits, length)
+    return [((v >> s) & mask) - half for s in range(0, bits * length, bits)]
+
+
 def cyc_matrix_dots(rows, cols, pairs) -> list:
     """[sum over t of rows[i][t] * cols[j][t] for (i, j) in pairs]: the
     entries of a matrix-shaped sum of products, each normalized once.
@@ -791,13 +814,14 @@ def cyc_matrix_dots(rows, cols, pairs) -> list:
     Kronecker substitution (von zur Gathen and Gerhard, *Modern Computer
     Algebra*, section 8.4).  Each row and each column is scaled to the lcm of
     its denominators, and each integer coefficient vector a is packed once
-    as the integer a(2^B).  A product of packed integers is the packed
-    convolution and a sum of them the packed sum.  With n terms per entry,
-    every coefficient of an unreduced entry is a sum of at most n phi(N)
-    products, so its absolute value is at most n phi(N) max|a| max|b|; B is
-    chosen with 2^(B-1) above that bound, so the coefficients are exactly
-    the balanced base-2^B digits of the packed sum.  Each entry is then
-    reduced by Phi_N and put in lowest terms.
+    as the integer a(2^B), then reused by every entry that reads it.  A
+    product of packed integers is the packed convolution and a sum of them
+    the packed sum.  With n terms per entry, every coefficient of an
+    unreduced entry is a sum of at most n phi(N) products, so its absolute
+    value is at most n phi(N) max|a| max|b|; B is chosen with 2^(B-1) above
+    that bound, so the coefficients are exactly the balanced base-2^B digits
+    of the packed sum (``_unpack``).  Each entry is then reduced by Phi_N and
+    put in lowest terms.
 
     Every entry must have the order of rows[0][0] (OrderMismatch), zeros
     included.  A lone sum of products is ``cyc_dot``: packing costs more
@@ -814,20 +838,56 @@ def cyc_matrix_dots(rows, cols, pairs) -> list:
     packed_cols = packed_rows if same else [[_pack(num, bits) for num in nums]
                                             for nums, _ in cols]
     zero = _raw(order, (0,) * deg, 1)
-    # half added to every digit makes them all nonnegative: plain base 2^B
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    offset = _pack([half] * (2 * deg - 1), bits)
-    shifts = range(0, bits * (2 * deg - 1), bits)
     out = []
     for i, j in pairs:
         v = sum(a * b for a, b in zip(packed_rows[i], packed_cols[j]) if a and b)
         if not v:
             out.append(zero)
             continue
-        v += offset
-        acc = [((v >> s) & mask) - half for s in shifts]
+        acc = _unpack(v, bits, 2 * deg - 1)
         out.append(_cyc(order, _reduce(acc, order), rows[i][1] * cols[j][1]))
     return out
+
+
+class TripleSums:
+    """The sums sum over t of rows[i][t] * rows[j][t] * rows[l][t] *
+    weights[t], for any (i, j, l), from one packing of the rows and weights.
+
+    The packing is that of ``cyc_matrix_dots``: each row is scaled to the lcm
+    of its denominators and the weights to theirs, each integer coefficient
+    vector a is packed once as the integer a(2^B), and each row entry times
+    its weight is kept as the product of the two packed integers, unreduced.
+    A sum is then n products of three big integers, one unpack and one
+    reduction by Phi_N, however many sums are asked.
+
+    B is chosen from a coefficient bound, so the kernel is exact with
+    certainty.  Write |a| for the largest absolute coefficient of a.  A
+    product with a factor b of at most d = phi(N) coefficients has
+    |ab| <= d |a| |b|, so one term a b c w has |abcw| <= d^3 |a| |b| |c| |w|,
+    and a sum of n terms at most n d^3 max|a|^3 max|w|.  2^(B-1) is
+    above that, so the unreduced coefficients are exactly the balanced
+    base-2^B digits of the packed sum (``_unpack``).
+
+    Every entry must have the order of rows[0][0] (OrderMismatch)."""
+
+    def __init__(self, rows, weights):
+        self.order = order = rows[0][0].order
+        rows, top = _scaled(rows, order)
+        ((weight_nums, self._weight_den),), top_w = _scaled([weights], order)
+        deg = _phi_tail(order)[0]
+        self._length = 4 * deg - 3       # coefficients of an unreduced a b c w
+        self._bits = bits = (len(weights) * deg ** 3 * top ** 3 * top_w).bit_length() + 1
+        self._dens = [den for _, den in rows]
+        self._rows = [[_pack(num, bits) for num in nums] for nums, _ in rows]
+        packed_weights = [_pack(num, bits) for num in weight_nums]
+        self._weighted = [[a * w for a, w in zip(row, packed_weights)] for row in self._rows]
+
+    def at(self, i: int, j: int, l: int) -> "CycNumber":
+        """sum over t of rows[i][t] * rows[j][t] * rows[l][t] * weights[t]."""
+        v = sum(a * b * c for a, b, c in zip(self._rows[i], self._rows[j], self._weighted[l]))
+        acc = _unpack(v, self._bits, self._length)
+        den = self._dens[i] * self._dens[j] * self._dens[l] * self._weight_den
+        return _cyc(self.order, _reduce(acc, self.order), den)
 
 
 class CycNumber:
@@ -862,6 +922,25 @@ class CycNumber:
     @staticmethod
     def root_power(order: int, e: int) -> "CycNumber":
         return _raw(order, _roots(order)[e % order], 1)
+
+    @staticmethod
+    def root_sum(order: int, terms) -> "CycNumber":
+        """The sum of c q^e over the integer pairs (e, c) of terms: the
+        exponents folded mod N into one integer list, reduced once by Phi_N."""
+        return _raw(order, tuple(_reduce(_fold(terms, order), order)), 1)
+
+    def times_root(self, e: int) -> "CycNumber":
+        """self * q^e as a shift: the coefficients move e places mod N
+        (q^N = 1), then the list is reduced once by Phi_N.  q^e is a unit of
+        Z[q]/Phi_N, so a prime divides every coefficient of the product iff
+        it divides every coefficient of self, and the result keeps self's
+        denominator in lowest terms."""
+        n = self.order
+        e %= n
+        if not e:
+            return self
+        padded = list(self.num) + [0] * (n - len(self.num))
+        return _raw(n, tuple(_reduce(padded[n - e:] + padded[:n - e], n)), self.den)
 
     @property
     def coeffs(self) -> tuple:
@@ -1010,7 +1089,7 @@ def _orders_up_to_degree(d: int) -> tuple:
 def _phi_divides(p: LaurentPoly, n: int) -> bool:
     """Whether Phi_n divides p: fold exponents mod n, then take one remainder
     by the monic integer polynomial Phi_n."""
-    return not any(_reduce(_fold(p, n)[0], n))
+    return not any(_reduce(_fold(p.num.items(), n), n))
 
 
 def cyclotomic_orders(p: LaurentPoly) -> frozenset:
@@ -1041,8 +1120,7 @@ def specialize(p, order: int) -> CycNumber:
     if isinstance(p, (int, Fraction)):
         return CycNumber(order, [p])
     if isinstance(p, LaurentPoly):
-        vec, den = _fold(p, order)
-        return _cyc(order, _reduce(vec, order), den)
+        return _cyc(order, _reduce(_fold(p.num.items(), order), order), p.den)
     if isinstance(p, RationalFunction):
         den = specialize(p.den, order)
         if den.is_zero():

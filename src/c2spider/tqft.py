@@ -27,9 +27,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
-from .cat import (ModularData, NonIntegerResult, fusion, modular_data, simples,
-                  twist_exponent)
+from .cat import (ModularData, NonIntegerResult, classical_dim, fusion, modular_data,
+                  simples, twist_exponent)
 from .ring import CycNumber, cyc_dot, cyc_matrix_dots
 
 
@@ -210,11 +211,16 @@ def _vertex_options(loop: bool, closed: tuple, k: int) -> tuple:
 def _label_tables(k: int) -> tuple:
     """The level-k ``cat.fusion`` table on the indices of ``simples(k)``,
     table[a][b] = {c: N(a, b, c)}, and c -> sum_a N(a, a, c), what a loop
-    closes onto a label c."""
+    closes onto a label c.  table[a][b] and table[b][a] are one dict, read
+    from one ``fusion`` call."""
     objs = simples(k)
     index = {w: i for i, w in enumerate(objs)}
-    table = [[{index[w]: m for w, m in fusion(a, b, level=k)} for b in objs]
-             for a in objs]
+    table = [[None] * len(objs) for _ in objs]
+    for a, b in combinations_with_replacement(range(len(objs)), 2):
+        # fusion is commutative, and it folds the weights of its first
+        # argument: one call per unordered pair, the smaller irreducible first
+        x, y = sorted((objs[a], objs[b]), key=classical_dim)
+        table[a][b] = table[b][a] = {index[w]: m for w, m in fusion(x, y, level=k)}
     loop_sums = defaultdict(int)
     for a, row in enumerate(table):
         for c, m in row[a].items():
@@ -227,9 +233,9 @@ def verlinde_dim(genus: int, k: int) -> int:
     unnormalized S-matrix."""
     if genus < 1:
         raise ValueError("genus must be at least 1")
-    md = modular_data(k)
     if genus == 1:
-        return len(md.simples)
+        return len(simples(k))
+    md = modular_data(k)
     norm = md.s_norm_sq ** (genus - 1)
     powers = [inv ** (2 * genus - 2) for inv in md.vacuum_inv]
     r = cyc_dot([norm] * len(powers), powers).as_rational()
@@ -288,8 +294,9 @@ def _reduce_word(word, order: int):
 
 
 def _twist_power(md: ModularData, e: int) -> list:
-    """The diagonal of T^e, one root power per simple."""
-    return [CycNumber.root_power(md.order, e * twist_exponent(w)) for w in md.simples]
+    """The diagonal of T^e as exponents: entry i is q^(result[i]), one per
+    simple, reduced mod N."""
+    return [e * twist_exponent(w) % md.order for w in md.simples]
 
 
 def word_matrix(md: ModularData, word):
@@ -307,7 +314,9 @@ def word_matrix(md: ModularData, word):
     and twist exponents add up mod N.  No two 's' of the reduced word are
     adjacent, so every ``mat_mul`` has S~ and a dense matrix as operands; a
     twist power between them scales columns, and one before the first 's'
-    scales rows, together with the scalar split off.
+    scales rows.  An entry scaled by a root power q^e is shifted, not
+    multiplied (``CycNumber.times_root``); the scalar split off multiplies
+    every entry.
 
     Both generators are defined up to a global scalar (the framing phase of
     the twist is tracked projectively, not normalized away), so only
@@ -316,21 +325,25 @@ def word_matrix(md: ModularData, word):
     M M+ = md.s_norm_sq^#s * id, and M+ is the matrix of ``adjoint(word)``."""
     squares, letters = _reduce_word(word, md.order)
     n = len(md.simples)
-    lead = [md.s_norm_sq ** squares] * n    # what scales the rows
+    lead = [0] * n      # the twist exponents that scale the rows
     m = None
     for g in letters:
         if g == "s":
             m = md.s_tilde if m is None else mat_mul(m, md.s_tilde)
         elif m is None:
-            lead = [c * d for c, d in zip(lead, _twist_power(md, g))]
+            lead = _twist_power(md, g)
         else:
             diag = _twist_power(md, g)
-            m = [[d * x for x, d in zip(row, diag)] for row in m]
+            m = [[x.times_root(e) for x, e in zip(row, diag)] for row in m]
+    scale = md.s_norm_sq ** squares
     if m is None:
         zero = CycNumber.zero(md.order)
-        return [[d if i == j else zero for j in range(n)] for i, d in enumerate(lead)]
-    if squares or letters[0] != "s":
-        m = [[d * x for x in row] for d, row in zip(lead, m)]
+        return [[scale.times_root(e) if i == j else zero for j in range(n)]
+                for i, e in enumerate(lead)]
+    if letters[0] != "s":
+        m = [[x.times_root(e) for x in row] for e, row in zip(lead, m)]
+    if squares:
+        m = [[x * scale for x in row] for row in m]
     return m
 
 

@@ -2,11 +2,13 @@
 
 import dataclasses
 import itertools
+import math
 
 import pytest
 
 from c2spider import cat
-from c2spider.ring import CycNumber, DenominatorVanishes, LaurentPoly, qint, specialize
+from c2spider.ring import (CycNumber, DenominatorVanishes, LaurentPoly, TripleSums, _galois,
+                           qint, specialize)
 from c2spider.tqft import mat_mul
 from helpers import as_laurent, conj, dominates, eval_at_one, mat_identity, proportional
 
@@ -84,10 +86,15 @@ def test_fusion_dimension_counts():
 
 
 def test_fusion_commutative_associative_unital():
+    # tqft's label table reads one fusion call per unordered pair, so
+    # commutativity is checked at every level it is built at, and generically
+    for level in (1, 2, 3, 4, None):
+        objs = cat.simples(4 if level is None else level)
+        for lam, mu in itertools.combinations(objs, 2):
+            assert cat.fusion(lam, mu, level) == cat.fusion(mu, lam, level)
+        for lam in objs:
+            assert cat.fusion_dict(lam, (0, 0), level) == {lam: 1}
     objs = cat.simples(2)
-    for lam, mu in itertools.combinations(objs, 2):
-        assert cat.fusion(lam, mu, 2) == cat.fusion(mu, lam, 2)
-        assert cat.fusion_dict(lam, (0, 0), 2) == {lam: 1}
     for lam, mu, nu in itertools.combinations(objs, 3):
         lhs = {}
         for x, m in cat.fusion(lam, mu, 2):
@@ -158,19 +165,50 @@ def test_modular_data_invariants():
         assert md.t_diag[0] == cat.qdim_at((0, 0), md.order)
 
 
-def test_verlinde_matches_fusion():
-    for k in (1, 2, 3):
-        md = dataclasses.replace(cat.modular_data(k))    # no row products kept yet
+def test_verlinde_matches_fusion(monkeypatch):
+    # every triple up to k = 4 (3,375 there), where the packing is widest
+    packings = []
+
+    def counted(*args):
+        packings.append(TripleSums(*args))
+        return packings[-1]
+
+    monkeypatch.setattr(cat, "TripleSums", counted)
+    for k in (1, 2, 3, 4):
+        md = dataclasses.replace(cat.modular_data(k))    # no packing kept yet
         for lam in md.simples:
             for mu in md.simples:
                 fd = cat.fusion_dict(lam, mu, level=k)
                 for nu in md.simples:
                     assert cat.verlinde_multiplicity(md, lam, mu, nu) == \
                         fd.get(nu, 0)
-        # one row product per unordered pair, kept on the modular data
-        n = len(md.simples)
-        assert len(md._row_products) == n * (n + 1) // 2
-        assert md.row_product(1, 2) is md.row_product(2, 1)
+        # one packing per modular data, built on the first query and reused
+        assert len(packings) == k and md.verlinde_packing is packings[-1]
+
+
+def test_s_tilde_galois_symmetry():
+    # an oracle independent of the Gram check (Coste-Gannon, Phys. Lett. B
+    # 323, 1994): q -> q^l maps S~_{lam mu} to eps S~_{pi(lam) mu}, where
+    # the affine Weyl group folds l(lam + rho) to pi(lam) + rho with sign eps
+    checked = 0
+    for k in range(1, 6):
+        md = cat.modular_data(k)
+        n = md.order
+        for l in range(1, n):
+            if math.gcd(l, n) != 1:
+                continue
+            for i, lam in enumerate(md.simples):
+                x, sign = cat._affine_fold((l * (lam[0] + lam[1] + cat.RHO[0]),
+                                            l * (lam[1] + cat.RHO[1])), k + 3)
+                assert sign in (1, -1)
+                image = md.index((x[0] - x[1] - cat.RHO[0] + cat.RHO[1], x[1] - cat.RHO[1]))
+                for j in range(len(md.simples)):
+                    entry = md.s_tilde[i][j]
+                    assert entry.den == 1
+                    assert _galois(entry.num, l, n) == \
+                        [sign * c for c in md.s_tilde[image][j].num]
+                    checked += 1
+    assert checked == 10_916
 
 
 def _mutants(s, order):

@@ -209,6 +209,14 @@ def test_domain_error_exit_code(capsys, tmp_path, monkeypatch):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_torus_table_refuses_an_empty_range(capsys):
+    # --max-n below 1 printed an empty table and exited 0
+    for max_n in ("0", "-2"):
+        code, out, err = run(capsys, "faithful", "torus", "--max-n", max_n)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+
 def test_removed_clasp_flags_are_usage_errors():
     for argv in (["clasp", "expand", "--n", "1", "--kind", "double"],
                  ["clasp", "trace", "--a", "0", "--b", "1"]):

@@ -1,6 +1,7 @@
 """Ring axioms, quantum integers and cyclotomic specialization."""
 
 import cmath
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -13,6 +14,7 @@ from c2spider.ring import (
     LaurentPoly,
     OrderMismatch,
     RationalFunction,
+    TripleSums,
     _cyclotomic_int,
     _sum_fractions,
     cyc_dot,
@@ -574,3 +576,54 @@ def test_cyc_matrix_dots_pairs_and_orders():
         [cyc_dot(rows[i], rows[j]) for i, j in pairs]
     with pytest.raises(OrderMismatch):
         cyc_matrix_dots(rows, [[CycNumber.one(16)] * 3], [(0, 0)])
+
+
+def naive_triple_sum(rows, weights, i, j, l):
+    order = rows[0][0].order
+    total = CycNumber.zero(order)
+    for a, b, c, w in zip(rows[i], rows[j], rows[l], weights):
+        total = total + naive_product(naive_product(naive_product(a, b), c), w)
+    return total
+
+
+def test_triple_sums_match_naive_products():
+    rng = random.Random(29)
+    for order, n in ((16, 3), (20, 5), (28, 4), (12, 2)):
+        rows = [[rand_cyc(rng, order) for _ in range(n)] for _ in range(3)]
+        weights = [rand_cyc(rng, order) for _ in range(n)]
+        sums = TripleSums(rows, weights)
+        for i, j, l in itertools.product(range(3), repeat=3):
+            got = sums.at(i, j, l)
+            assert got == naive_triple_sum(rows, weights, i, j, l), (order, i, j, l)
+            assert_canonical(got)
+    with pytest.raises(OrderMismatch):
+        TripleSums([[CycNumber.one(20)]], [CycNumber.one(16)])
+
+
+def test_triple_sums_at_wide_coefficients():
+    # every coefficient +-c and weights over mixed denominators: the widest
+    # digits the packing must hold exactly
+    for order, n, c in ((20, 3, 2 ** 10), (28, 2, 2 ** 16 - 1), (16, 4, 7)):
+        deg = len(CycNumber.one(order).num)
+        big = CycNumber(order, [c] * deg)
+        rows = [[big] * n, [-big] * n, [big, -big] * (n // 2) + [big] * (n % 2)]
+        weights = [CycNumber(order, [Fraction(c, 3)] * deg),
+                   CycNumber(order, [Fraction(-c, 5)] * deg)] * n
+        sums = TripleSums(rows, weights[:n])
+        for i, j, l in itertools.product(range(3), repeat=3):
+            assert sums.at(i, j, l) == naive_triple_sum(rows, weights[:n], i, j, l)
+
+
+def test_root_sum_and_times_root_match_products():
+    rng = random.Random(6)
+    for order in (12, 16, 20, 24, 28):
+        for _ in range(20):
+            terms = [(rng.randint(-3 * order, 3 * order), rng.randint(-3, 3))
+                     for _ in range(rng.randint(0, 8))]
+            assert CycNumber.root_sum(order, terms) == \
+                specialize(LaurentPoly(terms), order)
+            x = rand_cyc(rng, order)
+            e = rng.randint(-2 * order, 2 * order)
+            shifted = x.times_root(e)
+            assert shifted == naive_product(x, CycNumber.root_power(order, e))
+            assert_canonical(shifted)
