@@ -43,6 +43,8 @@ def check_weight(w) -> Weight:
     a, b = w
     if a < 0 or b < 0:
         raise ValueError(f"weight components must be nonnegative, got {w}")
+    if a != int(a) or b != int(b):
+        raise ValueError(f"weight components must be integers, got {w}")
     return (int(a), int(b))
 
 
@@ -293,8 +295,9 @@ class ModularData:
 
     What the Verlinde formula reads is built once per instance, on first
     use, and kept as cached properties (not fields, so a copy or a
-    comparison ignores them): the inverses of the vacuum row and one
-    integer packing of the rows of S~ with the Verlinde weights."""
+    comparison ignores them): the position of each simple, the inverses of
+    the vacuum row and one integer packing of the rows of S~ with the
+    Verlinde weights."""
     level: int
     order: int
     simples: list
@@ -304,10 +307,17 @@ class ModularData:
     s_norm_sq: CycNumber  # the scalar with S~ S~ = s_norm_sq * id
 
     def index(self, w) -> int:
-        w = check_weight(w)
-        if not is_simple_at(w, self.level):
+        """The position of the simple w in ``simples``: one dict lookup, and
+        the weight is checked only when the lookup misses."""
+        pos = self._positions.get(tuple(w))
+        if pos is None:
+            w = check_weight(w)
             raise NotSimpleAtLevel(f"{w} is not simple at level {self.level}")
-        return self.simples.index(w)
+        return pos
+
+    @cached_property
+    def _positions(self) -> dict:
+        return {w: i for i, w in enumerate(self.simples)}
 
     @cached_property
     def vacuum_inv(self) -> list:

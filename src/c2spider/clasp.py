@@ -330,6 +330,8 @@ def theta_net(a: int, b: int, c: int, ctx: ClaspContext = None) -> RationalFunct
     laid out as given and 0.06 s as (5,4,5), and (4,6,6) 1.2-1.7 s against
     0.09 s.
     """
+    if any(x != int(x) for x in (a, b, c)):
+        raise ValueError(f"theta labels must be integers, got {(a, b, c)}")
     lo, hi = min(a, b, c), max(a, b, c)
     if lo < 0:
         raise ValueError("theta labels must be nonnegative")

@@ -235,6 +235,8 @@ def torus_detection(n: int, k: int) -> bool:
     """Does the n-th twist power act projectively nontrivially at level k?"""
     if n == 0:
         raise ValueError("the zero twist power is central")
+    if n != int(n):
+        raise ValueError(f"twist powers must be integers, got {n}")
     order = q_order(k)
     exps = [twist_exponent(w) for w in simples(k)]
     base = exps[0]

@@ -1,34 +1,35 @@
 """Exact coefficient arithmetic for the skein engine.
 
-Three scalar domains, all exact (no floating point):
+Three scalar domains, all exact (no floating point) and all stored the same
+way: a dense integer coefficient vector, low degree first, over one positive
+integer denominator, in lowest terms (the gcd of the entries and the
+denominator is 1).  Each value has exactly one representation, so equality
+compares fields, and no Fraction is built on the arithmetic paths.
 
 * ``LaurentPoly`` -- Laurent polynomials in one variable q with rational
-  coefficients, the generic ground ring of the diagram calculus.  Stored as
-  an integer coefficient dict (exponent -> nonzero int) over one positive
-  integer denominator in lowest terms, so products are integer convolutions
-  and no Fraction is built on the arithmetic paths.
+  coefficients, the generic ground ring of the diagram calculus:
+  q^low (num[0] + num[1] q + ...) / den, with num's end entries nonzero.
 * ``RationalFunction`` -- quotients of Laurent polynomials, needed because
   projector coefficients divide by quantum integers.  Kept in a canonical
-  reduced form so equality is a field comparison; the reduction runs a
-  primitive pseudo-remainder gcd on the integer coefficient lists.
+  reduced form; the reduction runs a primitive pseudo-remainder gcd on the
+  integer vectors.
 * ``CycNumber`` -- the image of the above under q -> primitive N-th root of
-  unity: a residue modulo the N-th cyclotomic polynomial Phi_N, stored as an
-  integer coefficient vector over one positive integer denominator in lowest
-  terms.  Phi_N is monic with integer coefficients, so products reduce
-  without leaving the integers, and inverses come from the Galois conjugates
-  q -> q^j (gcd(j, N) = 1) and their product, the norm, a rational integer.
-  A sum of products is one kernel, ``cyc_dot``: the integer convolutions of
-  all pairs add up over one denominator, then reduce by Phi_N and to lowest
-  terms once.  A single product is the kernel on one pair.  Matrix-shaped
-  sums are ``cyc_matrix_dots``, and the repeated sums of triple products of
-  the Verlinde formula ``TripleSums``: each coefficient vector is packed
-  once into one integer (Kronecker substitution) and reused by every sum
-  that reads it, at a width above a bound on every coefficient of the
-  unreduced sums, so the result is exact with certainty.  ``cyc_dot`` keeps
-  its loop: for a lone short sum packing costs more than it saves.  A
-  product by a root power q^e is a shift of coefficients
-  (``CycNumber.times_root``), and a sum of signed root powers is folded
-  into one list (``CycNumber.root_sum``); each is reduced once.
+  unity: a residue modulo the N-th cyclotomic polynomial Phi_N, a vector of
+  length deg Phi_N.  Phi_N is monic with integer coefficients, so products
+  reduce without leaving the integers, and inverses come from the Galois
+  conjugates q -> q^j (gcd(j, N) = 1) and their product, the norm, a
+  rational integer.
+
+A product of two values is one integer convolution, ``_int_mul`` (for a
+CycNumber then one reduction by Phi_N), and every lowest-terms step is one
+helper, ``_lowest``.  Matrix-shaped sums of CycNumber products are
+``cyc_matrix_dots``, and the repeated sums of triple products of the
+Verlinde formula ``TripleSums``: each coefficient vector is packed once into
+one integer (Kronecker substitution) and reused by every sum that reads it,
+at a width above a bound on every coefficient of the unreduced sums, so the
+result is exact with certainty.  A product by a root power q^e is a shift of
+coefficients (``CycNumber.times_root``), and a sum of signed root powers is
+folded into one list (``CycNumber.root_sum``); each is reduced once.
 
 Quantum integers use the symmetric convention [n] = (q^n - q^-n)/(q - q^-1),
 so [n] specializes to zero at a root of unity of order N exactly when N | 2n.
@@ -39,6 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import index
 
 
 class DenominatorVanishes(ArithmeticError):
@@ -71,52 +73,45 @@ def _power(base, n: int, one):
 class LaurentPoly:
     """Laurent polynomial in q over the rationals.
 
-    Stored as ``num / den``: ``num`` maps each exponent to a nonzero integer
-    and ``den`` is a positive integer.  The pair is in lowest terms
-    (gcd(content(num), den) = 1, zero is {} over 1), so each polynomial has
-    exactly one representation and equality compares fields.  Products are
-    integer convolutions and sums align the two denominators by one lcm.
-    ``terms`` gives the coefficients as Fractions.  Instances are immutable;
-    all operations return new objects.
+    Stored as ``q^low * (num[0] + num[1] q + ...) / den``: ``num`` is a
+    tuple of integers whose first and last entries are nonzero and ``den``
+    a positive integer.  The form is in lowest terms (gcd(content(num),
+    den) = 1; zero is () at low 0 over 1), so each polynomial has exactly
+    one representation and equality compares fields.  A product is one
+    integer convolution of the two vectors; a sum aligns the two vectors and
+    the two denominators.  ``terms`` gives the coefficients as Fractions.
+    Instances are immutable; all operations return new objects.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("low", "num", "den", "_hash")
 
     def __init__(self, terms=None):
-        """``terms`` maps exponents to ints or Fractions (a dict or pairs);
-        repeated exponents add up."""
-        pairs = list(terms.items() if isinstance(terms, dict) else terms or ())
-        den = lcm(1, *(_rational(c).denominator for _, c in pairs))
-        num = {}
-        for e, c in pairs:
-            if c:
-                e = int(e)
-                s = num.get(e, 0) + c.numerator * (den // c.denominator)
-                if s:
-                    num[e] = s
-                else:
-                    del num[e]
-        self.num, self.den = _lowest_terms(num, den)
-        self._hash = None
+        """``terms`` maps integer exponents to ints or Fractions (a dict or
+        pairs); repeated exponents add up."""
+        pairs = [(index(e), _rational(c))
+                 for e, c in (terms.items() if isinstance(terms, dict) else terms or ())]
+        den = lcm(1, *(c.denominator for _, c in pairs))
+        p = _collect([(e, c.numerator * (den // c.denominator)) for e, c in pairs], den)
+        self.low, self.num, self.den, self._hash = p.low, p.num, p.den, None
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "LaurentPoly":
-        return _laurent_raw({}, 1)
+        return _laurent_raw(0, (), 1)
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return _laurent_raw({0: 1}, 1)
+        return _laurent_raw(0, (1,), 1)
 
     @staticmethod
     def const(c) -> "LaurentPoly":
         c = _rational(c)
-        return _laurent_raw({0: c.numerator} if c else {}, c.denominator)
+        return _laurent_raw(0, (c.numerator,) if c else (), c.denominator)
 
     @staticmethod
     def q_power(n: int) -> "LaurentPoly":
-        return _laurent_raw({n: 1}, 1)
+        return _laurent_raw(index(n), (1,), 1)
 
     @staticmethod
     def coerce(x) -> "LaurentPoly":
@@ -131,16 +126,18 @@ class LaurentPoly:
     @property
     def terms(self) -> dict:
         """The map exponent -> nonzero Fraction coefficient (a fresh copy)."""
-        return {e: Fraction(c, self.den) for e, c in self.num.items()}
+        return {e: Fraction(c, self.den) for e, c in enumerate(self.num, self.low) if c}
 
     def is_zero(self) -> bool:
         return not self.num
 
     def min_exp(self) -> int:
-        return min(self.num)
+        if not self.num:
+            raise ValueError("the zero polynomial has no exponents")
+        return self.low
 
     def max_exp(self) -> int:
-        return max(self.num)
+        return self.min_exp() + len(self.num) - 1
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -149,16 +146,16 @@ class LaurentPoly:
             return RationalFunction.from_poly(self) == other
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.den == other.den and self.num == other.num
+        return self.den == other.den and self.low == other.low and self.num == other.num
 
     def __hash__(self):
         # a constant compares equal to its int or Fraction, so it hashes as one
         if self._hash is None:
             num = self.num
-            if not num or (len(num) == 1 and 0 in num):
-                self._hash = hash(Fraction(num.get(0, 0), self.den))
+            if len(num) <= 1 and not self.low:
+                self._hash = hash(Fraction(num[0] if num else 0, self.den))
             else:
-                self._hash = hash((frozenset(num.items()), self.den))
+                self._hash = hash((self.low, num, self.den))
         return self._hash
 
     def __bool__(self):
@@ -170,27 +167,19 @@ class LaurentPoly:
         if isinstance(other, RationalFunction):
             return RationalFunction.from_poly(self) + other
         other = LaurentPoly.coerce(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         d1, d2 = self.den, other.den
-        if d1 == d2:
-            den, out = d1, dict(self.num)
-            pairs = other.num.items()
-        else:
-            den = d1 // gcd(d1, d2) * d2
-            m1, m2 = den // d1, den // d2
-            out = {e: c * m1 for e, c in self.num.items()}
-            pairs = [(e, c * m2) for e, c in other.num.items()]
-        for e, c in pairs:
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return _laurent(out, den)
+        den = d1 // gcd(d1, d2) * d2
+        return _laurent(*_shifted_sum(self.num, self.low, den // d1,
+                                      other.num, other.low, den // d2), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _laurent_raw({e: -c for e, c in self.num.items()}, self.den)
+        return _laurent_raw(self.low, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         if isinstance(other, RationalFunction):
@@ -204,14 +193,8 @@ class LaurentPoly:
         if isinstance(other, RationalFunction):
             return RationalFunction.from_poly(self) * other
         other = LaurentPoly.coerce(other)
-        out = {}
-        get = out.get
-        right = list(other.num.items())
-        for e1, c1 in self.num.items():
-            for e2, c2 in right:
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        return _laurent({e: c for e, c in out.items() if c}, self.den * other.den)
+        return _laurent(self.low + other.low, _int_mul(self.num, other.num),
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -252,44 +235,64 @@ class LaurentPoly:
         """List of [exponent, numerator, denominator] triples, sorted, each
         coefficient in lowest terms."""
         den, out = self.den, []
-        for e in sorted(self.num):
-            c = self.num[e]
-            g = gcd(c, den)
-            out.append([e, c // g, den // g])
+        for e, c in enumerate(self.num, self.low):
+            if c:
+                g = gcd(c, den)
+                out.append([e, c // g, den // g])
         return out
 
     @staticmethod
     def from_json(data) -> "LaurentPoly":
-        data = [(int(e), int(n), int(d)) for e, n, d in data]
+        data = [(index(e), index(n), index(d)) for e, n, d in data]
         den = lcm(1, *(d for _, _, d in data))
-        return _laurent({e: n * (den // d) for e, n, d in data if n}, den)
+        return _collect([(e, n * (den // d)) for e, n, d in data], den)
 
 
-def _lowest_terms(num: dict, den: int):
-    """(num, den) in lowest terms; num maps exponents to nonzero ints and den
-    must be positive."""
-    if den != 1:
-        g = gcd(den, *num.values())
-        if g != 1:
-            num = {e: c // g for e, c in num.items()}
-            den //= g
-    return num, den
+def _laurent(low: int, num, den: int) -> LaurentPoly:
+    """The LaurentPoly q^low num/den for an integer list num and a positive
+    den: the zero ends of num are stripped and the rest put in lowest terms."""
+    hi = len(num)
+    while hi and not num[hi - 1]:
+        hi -= 1
+    if not hi:
+        return _laurent_raw(0, (), 1)
+    lo = 0
+    while not num[lo]:
+        lo += 1
+    return _laurent_raw(low + lo, *_lowest(num[lo:hi], den))
 
 
-def _laurent(num: dict, den: int) -> LaurentPoly:
-    """The LaurentPoly num/den (nonzero int values, positive den)."""
-    return _laurent_raw(*_lowest_terms(num, den))
-
-
-def _laurent_raw(num: dict, den: int) -> LaurentPoly:
+def _laurent_raw(low: int, num: tuple, den: int) -> LaurentPoly:
     """A LaurentPoly from fields already in canonical form."""
     x = object.__new__(LaurentPoly)
-    x.num, x.den, x._hash = num, den, None
+    x.low, x.num, x.den, x._hash = low, num, den, None
     return x
 
 
+def _collect(pairs, den: int) -> LaurentPoly:
+    """The LaurentPoly sum of c q^e / den over the integer pairs (e, c)."""
+    exps = [e for e, _ in pairs] or [0]
+    low = min(exps)
+    num = [0] * (max(exps) - low + 1)
+    for e, c in pairs:
+        num[e - low] += c
+    return _laurent(low, num, den)
+
+
+def _shifted_sum(a, ea: int, ka: int, b, eb: int, kb: int):
+    """(low, vec) with q^low vec = ka q^ea a + kb q^eb b, for integer
+    vectors a and b (low degree first) and integers ka and kb."""
+    low = min(ea, eb)
+    out = [0] * (max(ea + len(a), eb + len(b)) - low)
+    for i, c in enumerate(a, ea - low):
+        out[i] = c * ka
+    for i, c in enumerate(b, eb - low):
+        out[i] += c * kb
+    return low, out
+
+
 def _is_one(p: LaurentPoly) -> bool:
-    return p.den == 1 and p.num == {0: 1}
+    return p.num == (1,) and not p.low and p.den == 1
 
 
 def qint(n: int) -> LaurentPoly:
@@ -298,7 +301,7 @@ def qint(n: int) -> LaurentPoly:
         return LaurentPoly.zero()
     if n < 0:
         return -qint(-n)
-    return _laurent_raw({n - 1 - 2 * i: 1 for i in range(n)}, 1)
+    return _laurent_raw(1 - n, (1, 0) * (n - 1) + (1,), 1)
 
 
 # integer-coefficient helpers (primitive pseudo-remainder sequence); much
@@ -482,11 +485,9 @@ class RationalFunction:
             self.num, self.den = num, den
             self._hash = None
             return
-        # num/den = (den.den / num.den) q^(sn - sd) pn / pd with integer pn, pd
-        pn, sn = _dense(num.num)
-        pd, sd = _dense(den.num)
-        pn, pd = _cancel(pn, pd)
-        self.num, self.den = _canonical(pn, sn - sd, pd, den.den, num.den)
+        # num/den = (den.den / num.den) q^(num.low - den.low) pn / pd
+        pn, pd = _cancel(num.num, den.num)
+        self.num, self.den = _canonical(pn, num.low - den.low, pd, den.den, num.den)
         self._hash = None
 
     @staticmethod
@@ -541,14 +542,8 @@ class RationalFunction:
         # self + other = t / (b r1 r2 g) with
         # t = (a1 b/b1) q^s1 n1 r2 + (a2 b/b2) q^s2 n2 r1
         b = lcm(b1, b2)
-        s = min(s1, s2)
-        u, v = _int_mul(n1, r2), _int_mul(n2, r1)
-        k1, k2, o1, o2 = a1 * (b // b1), a2 * (b // b2), s1 - s, s2 - s
-        t = [0] * max(len(u) + o1, len(v) + o2)
-        for i, c in enumerate(u, o1):
-            t[i] = c * k1
-        for i, c in enumerate(v, o2):
-            t[i] += c * k2
+        s, t = _shifted_sum(_int_mul(n1, r2), s1, a1 * (b // b1),
+                            _int_mul(n2, r1), s2, a2 * (b // b2))
         while t and not t[-1]:
             t.pop()
         if not t:
@@ -602,12 +597,11 @@ class RationalFunction:
         return RationalFunction.coerce(other) / self
 
     def __pow__(self, n: int):
-        num = self.num.num
-        if len(num) == 1 and _is_one(self.den):
+        num = self.num
+        if len(num.num) == 1 and _is_one(self.den):
             # a monomial c q^e: its power c^n q^(en) is again a monomial
-            (e, c), = num.items()
-            c = Fraction(c, self.num.den) ** n
-            return _rf(_laurent_raw({e * n: c.numerator}, c.denominator), self.den)
+            c = Fraction(num.num[0], num.den) ** n
+            return _rf(_laurent_raw(num.low * n, (c.numerator,), c.denominator), self.den)
         if n < 0:
             return RationalFunction.coerce(1) / (self ** (-n))
         return _power(self, n, RationalFunction.coerce(1))
@@ -636,22 +630,11 @@ def _rf(num: LaurentPoly, den: LaurentPoly) -> RationalFunction:
 _RF_ZERO = _rf(LaurentPoly.zero(), LaurentPoly.one())
 
 
-def _dense(terms: dict):
-    """A nonempty exponent -> int dict as a dense integer list, low degree
-    first, and the exponent of its first entry."""
-    low = min(terms)
-    out = [0] * (max(terms) - low + 1)
-    for e, c in terms.items():
-        out[e - low] = c
-    return out, low
-
-
 def _parts(r: RationalFunction):
-    """(n, s, p, a, b) with r = (a/b) q^s n/p for nonzero r: n and p dense
-    integer lists, n[0] != 0, and p primitive with p[0] = a > 0."""
-    n, s = _dense(r.num.num)
-    den = r.den
-    return n, s, ([1] if _is_one(den) else _dense(den.num)[0]), den.den, r.num.den
+    """(n, s, p, a, b) with r = (a/b) q^s n/p for nonzero r: n and p integer
+    tuples, n[0] != 0, and p primitive with p[0] = a > 0."""
+    num, den = r.num, r.den
+    return num.num, num.low, den.num, den.den, num.den
 
 
 def _cancel(a, b):
@@ -665,18 +648,18 @@ def _cancel(a, b):
 
 
 def _canonical(pn, shift: int, pd, a: int, b: int):
-    """Canonical (num, den) fields of (a/b) q^shift pn/pd, for dense integer
-    lists pn (nonzero) and pd (pd[0] != 0) with no common factor and
-    positive integers a, b: the content and sign of pd move into the
-    numerator's denominator, and pd is scaled to constant term 1."""
+    """Canonical (num, den) fields of (a/b) q^shift pn/pd, for integer
+    vectors pn (nonzero) and pd (both end entries nonzero) with no common
+    factor and positive integers a, b: the content and sign of pd move into
+    the numerator's denominator, and pd is scaled to constant term 1."""
     c = gcd(*pd)
     if pd[0] < 0:
         c, a = -c, -a
     if c != 1:
         pd = [x // c for x in pd]
     lead = pd[0]
-    num = _laurent({i + shift: x * a for i, x in enumerate(pn) if x}, b * abs(c) * lead)
-    return num, _laurent_raw({i: x for i, x in enumerate(pd) if x}, lead)
+    num = _laurent(shift, [x * a for x in pn], b * abs(c) * lead)
+    return num, _laurent_raw(0, tuple(pd), lead)
 
 
 def _sum_fractions(pairs) -> RationalFunction:
@@ -692,20 +675,20 @@ def _sum_fractions(pairs) -> RationalFunction:
     for den, num in groups.items():
         if num.is_zero():
             continue
-        # den = (c / den.den) q^shift p with p primitive and p[0] > 0
-        p, shift = _dense(den.num)
+        # den = (c / den.den) q^den.low p with p primitive and p[0] > 0
+        p = den.num
         c = gcd(*p) if p[0] > 0 else -gcd(*p)
         if c != 1:
             p = [x // c for x in p]
-        parts.append((num * LaurentPoly({-shift: Fraction(den.den, c)}), p))
+        parts.append((num * LaurentPoly({-den.low: Fraction(den.den, c)}), p))
         if len(p) > 1:
             g = _int_gcd_poly(common, p) if len(common) > 1 else [1]
             common = _int_mul(common, _int_div_exact(p, g) if len(g) > 1 else p)
     total = LaurentPoly.zero()
     for num, p in parts:
         m = _int_div_exact(common, p)
-        total = total + num * _laurent_raw({i: x for i, x in enumerate(m) if x}, 1)
-    return RationalFunction(total, _laurent_raw({i: x for i, x in enumerate(common) if x}, 1))
+        total = total + num * _laurent_raw(0, tuple(m), 1)
+    return RationalFunction(total, _laurent_raw(0, tuple(common), 1))
 
 
 def _lowest(num, den: int):
@@ -729,39 +712,6 @@ def _raw(order: int, num: tuple, den: int) -> "CycNumber":
     x = object.__new__(CycNumber)
     x.order, x.num, x.den, x._hash = order, num, den, None
     return x
-
-
-def cyc_dot(xs, ys) -> "CycNumber":
-    """Sum of x * y over the pairs of CycNumbers of xs and ys, normalized once.
-
-    Pairs with a zero factor are skipped; the others must have the order of
-    xs[0] (OrderMismatch otherwise).  Their integer convolutions, scaled to
-    the lcm of the pairs' denominators, add up in one list of length
-    2 deg Phi_N - 1, which is reduced by Phi_N and put in lowest terms.
-    This is the kernel for a lone sum, whose factors are used once; sums
-    over rows that are used again are packed once instead
-    (``cyc_matrix_dots``, ``TripleSums``)."""
-    order = xs[0].order
-    pairs, den = [], 1
-    for x, y in zip(xs, ys):
-        if any(x.num) and any(y.num):
-            if x.order != order or y.order != order:
-                raise OrderMismatch(f"orders {x.order} and {y.order} in a sum of order {order}")
-            d = x.den * y.den
-            den = den // gcd(den, d) * d
-            pairs.append((x.num, y.num, d))
-    deg = _phi_tail(order)[0]
-    if not pairs:
-        return _raw(order, (0,) * deg, 1)
-    acc = [0] * (2 * deg - 1)
-    for xn, yn, d in pairs:
-        m = den // d
-        for i, a in enumerate(xn):
-            if a:
-                a *= m
-                for j, b in enumerate(yn, i):
-                    acc[j] += a * b
-    return _cyc(order, _reduce(acc, order), den)
 
 
 def _scaled(vectors, order: int):
@@ -824,9 +774,7 @@ def cyc_matrix_dots(rows, cols, pairs) -> list:
     put in lowest terms.
 
     Every entry must have the order of rows[0][0] (OrderMismatch), zeros
-    included.  A lone sum of products is ``cyc_dot``: packing costs more
-    than it saves there (a length-6 dot of two rows of S~ at order 20 took
-    19 us packed against 7 us, Python 3.11 on a shared 2-core host)."""
+    included."""
     order = rows[0][0].order
     same = cols is rows     # s s^T: one matrix, packed once
     rows, top_r = _scaled(rows, order)
@@ -1001,7 +949,9 @@ class CycNumber:
         if isinstance(other, (int, Fraction)):
             return _cyc(self.order, [c * other.numerator for c in self.num],
                         self.den * other.denominator)
-        return cyc_dot((self,), (self.coerce_other(other),))
+        other = self.coerce_other(other)
+        return _cyc(self.order, _reduce(_int_mul(self.num, other.num), self.order),
+                    self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -1062,8 +1012,8 @@ class CycNumber:
 
     @staticmethod
     def from_json(data) -> "CycNumber":
-        return CycNumber(int(data["order"]),
-                         [Fraction(int(n), int(d)) for n, d in data["coeffs"]])
+        return CycNumber(index(data["order"]),
+                         [Fraction(index(n), index(d)) for n, d in data["coeffs"]])
 
 
 def _totient(n: int) -> int:
@@ -1089,7 +1039,7 @@ def _orders_up_to_degree(d: int) -> tuple:
 def _phi_divides(p: LaurentPoly, n: int) -> bool:
     """Whether Phi_n divides p: fold exponents mod n, then take one remainder
     by the monic integer polynomial Phi_n."""
-    return not any(_reduce(_fold(p.num.items(), n), n))
+    return not any(_reduce(_fold(enumerate(p.num, p.low), n), n))
 
 
 def cyclotomic_orders(p: LaurentPoly) -> frozenset:
@@ -1120,7 +1070,7 @@ def specialize(p, order: int) -> CycNumber:
     if isinstance(p, (int, Fraction)):
         return CycNumber(order, [p])
     if isinstance(p, LaurentPoly):
-        return _cyc(order, _reduce(_fold(p.num.items(), order), order), p.den)
+        return _cyc(order, _reduce(_fold(enumerate(p.num, p.low), order), order), p.den)
     if isinstance(p, RationalFunction):
         den = specialize(p.den, order)
         if den.is_zero():

@@ -159,5 +159,5 @@ def default_table() -> RuleTable:
     global _DEFAULT
     if _DEFAULT is None:
         from . import rules_data
-        _DEFAULT = RuleTable.from_json(rules_data.RULES_JSON)
+        _DEFAULT = RuleTable.from_json(json.loads(rules_data.RULES_JSON))
     return _DEFAULT

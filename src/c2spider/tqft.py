@@ -31,7 +31,7 @@ from itertools import combinations_with_replacement
 
 from .cat import (ModularData, NonIntegerResult, classical_dim, fusion, modular_data,
                   simples, twist_exponent)
-from .ring import CycNumber, cyc_dot, cyc_matrix_dots
+from .ring import CycNumber, cyc_matrix_dots
 
 
 @dataclass(frozen=True)
@@ -236,9 +236,8 @@ def verlinde_dim(genus: int, k: int) -> int:
     if genus == 1:
         return len(simples(k))
     md = modular_data(k)
-    norm = md.s_norm_sq ** (genus - 1)
-    powers = [inv ** (2 * genus - 2) for inv in md.vacuum_inv]
-    r = cyc_dot([norm] * len(powers), powers).as_rational()
+    powers = sum((inv ** (2 * genus - 2) for inv in md.vacuum_inv), CycNumber.zero(md.order))
+    r = (powers * md.s_norm_sq ** (genus - 1)).as_rational()
     if r.denominator != 1 or r < 0:
         raise NonIntegerResult(f"Verlinde dimension {r} is not a nonnegative integer")
     return int(r)

@@ -3,10 +3,11 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
-from c2spider import cat
+from c2spider import cat, clasp, faithful
 from c2spider.ring import (CycNumber, DenominatorVanishes, LaurentPoly, TripleSums, _galois,
                            qint, specialize)
 from c2spider.tqft import mat_mul
@@ -256,6 +257,23 @@ def test_weight_outside_the_alcove_raises_typed_error():
         cat.verlinde_multiplicity(md, (2, 0), (0, 0), (0, 0))
     with pytest.raises(cat.NotSimpleAtLevel):
         md.index((0, 2))
+    assert [md.index(w) for w in md.simples] == list(range(len(md.simples)))
+    assert md.index([0, 1]) == md.simples.index((0, 1))
+
+
+def test_non_integral_weights_labels_and_twist_powers_are_refused():
+    md = cat.modular_data(2)
+    queries = (cat.check_weight, cat.qdim, cat.classical_dim, cat.twist_exponent, md.index,
+               lambda w: cat.fusion(w, (1, 0)), lambda w: cat.fusion((1, 0), w, level=2),
+               lambda w: cat.verlinde_multiplicity(md, (0, 0), w, (1, 0)))
+    for w in ((1.5, 0), (0, 0.5), (Fraction(3, 2), 1)):
+        for query in queries:
+            with pytest.raises(ValueError, match="integers"):
+                query(w)
+    with pytest.raises(ValueError, match="integers"):
+        clasp.theta_net(1.5, 0.5, 1)
+    with pytest.raises(ValueError, match="integers"):
+        faithful.torus_detection(1.5, 1)
 
 
 def test_vacuum_inverses():

@@ -17,12 +17,13 @@ from c2spider.ring import (
     TripleSums,
     _cyclotomic_int,
     _sum_fractions,
-    cyc_dot,
     cyc_matrix_dots,
     cyclotomic_orders,
     qint,
     specialize,
 )
+from c2spider.clasp import _websum_from_json, _websum_to_json
+from c2spider.engine import WebSum, _strands
 from c2spider.tqft import mat_mul
 from helpers import as_laurent, conj
 
@@ -189,12 +190,18 @@ def test_laurent_json_roundtrip():
 # -- LaurentPoly canonical form: integer coefficients over one denominator ---
 
 
+def fields_of(p):
+    return p.low, p.num, p.den
+
+
 def assert_laurent_canonical(p):
     assert isinstance(p.den, int) and p.den > 0
-    assert all(isinstance(c, int) and c for c in p.num.values())
-    assert gcd(p.den, *p.num.values()) == 1
+    assert isinstance(p.low, int) and isinstance(p.num, tuple)
+    assert all(isinstance(c, int) for c in p.num)
+    assert not p.num or (p.num[0] and p.num[-1])
+    assert gcd(p.den, *p.num) == 1
     if p.is_zero():
-        assert p.num == {} and p.den == 1
+        assert fields_of(p) == (0, (), 1)
 
 
 def test_laurent_one_value_one_representation():
@@ -204,14 +211,14 @@ def test_laurent_one_value_one_representation():
     from_pairs = LaurentPoly([(-1, 1), (3, -4), (-1, 1), (7, 2), (7, -2)])
     for p in (from_ints, from_fractions, by_arithmetic, from_pairs):
         assert_laurent_canonical(p)
-        assert (p.num, p.den) == ({-1: 2, 3: -4}, 1)
+        assert fields_of(p) == (-1, (2, 0, 0, 0, -4), 1)
         assert p == from_ints and hash(p) == hash(from_ints)
     half = LaurentPoly({0: Fraction(1, 2), 2: Fraction(3, 4)})
-    assert (half.num, half.den) == ({0: 2, 2: 3}, 4)
+    assert fields_of(half) == (0, (2, 0, 3), 4)
     assert half.to_json() == [[0, 1, 2], [2, 3, 4]]
     assert half != LaurentPoly({0: 2, 2: 3}) and half * 4 == LaurentPoly({0: 2, 2: 3})
     again = LaurentPoly.from_json(half.to_json())
-    assert (again.num, again.den) == (half.num, half.den) and hash(again) == hash(half)
+    assert fields_of(again) == fields_of(half) and hash(again) == hash(half)
     assert half.terms == {0: Fraction(1, 2), 2: Fraction(3, 4)}
 
 
@@ -224,11 +231,11 @@ def test_laurent_lowest_terms():
     # a sum whose common denominator cancels comes back over 1
     s = LaurentPoly({0: Fraction(1, 6)}) + LaurentPoly({0: Fraction(5, 6), 1: Fraction(1, 3)}) \
         - LaurentPoly({1: Fraction(1, 3)})
-    assert (s.num, s.den) == ({0: 1}, 1)
+    assert fields_of(s) == (0, (1,), 1)
     for zero in (LaurentPoly.zero(), LaurentPoly(), LaurentPoly({3: Fraction(0, 5)}),
                  LaurentPoly({1: Fraction(1, 3)}) - LaurentPoly({1: Fraction(1, 3)}),
                  LaurentPoly({2: Fraction(1, 7)}) * 0, LaurentPoly.const(Fraction(0))):
-        assert (zero.num, zero.den) == ({}, 1)
+        assert fields_of(zero) == (0, (), 1)
         assert zero == LaurentPoly.zero() and hash(zero) == hash(LaurentPoly.zero())
 
 
@@ -496,8 +503,17 @@ def naive_product(x, y):
     return CycNumber(x.order, conv)
 
 
+def dot(xs, ys):
+    """The sum of the CycNumber products x * y over the pairs of xs and ys."""
+    total = CycNumber.zero(xs[0].order)
+    for x, y in zip(xs, ys):
+        total = total + x * y
+    return total
+
+
 @pytest.mark.parametrize("order", [16, 20, 24, 28, 32])
 def test_cyc_dot_matches_naive_sum(order):
+    # products and sums of CycNumbers against Fraction convolutions
     rng = random.Random(order)
     zero = CycNumber.zero(order)
     for _ in range(25):
@@ -506,25 +522,28 @@ def test_cyc_dot_matches_naive_sum(order):
         ys = [rand_cyc(rng, order) for _ in range(n)]
         naive = zero
         for x, y in zip(xs, ys):
+            assert x * y == naive_product(x, y)
+            assert_canonical(x * y)
             naive = naive + naive_product(x, y)
-        assert cyc_dot(xs, ys) == naive
-        assert_canonical(cyc_dot(xs, ys))
+        assert dot(xs, ys) == naive
+        assert_canonical(dot(xs, ys))
         # the pairs and their negatives cancel to the canonical 0/1
-        cancel = cyc_dot(xs + [-x for x in xs], ys + ys)
+        cancel = dot(xs + [-x for x in xs], ys + ys)
         assert cancel.num == zero.num and cancel.den == 1
-    assert cyc_dot([zero, zero], [CycNumber.one(order), zero]) == zero
+    for x, y in ((zero, CycNumber.one(order)), (CycNumber.one(order), zero), (zero, zero)):
+        assert (x * y).num == zero.num and (x * y).den == 1
 
 
 def test_cyc_dot_order_mismatch():
     a, b = CycNumber.one(16), CycNumber.root_power(20, 3)
     with pytest.raises(OrderMismatch):
-        cyc_dot([a, b], [a, b])
-    with pytest.raises(OrderMismatch):
-        cyc_dot([a], [b])
+        dot([a, b], [a, b])
     with pytest.raises(OrderMismatch):
         a * b
-    # a pair with a zero factor is skipped before its order is looked at
-    assert cyc_dot([a, CycNumber.zero(20)], [a, b]) == a
+    with pytest.raises(OrderMismatch):
+        a * CycNumber.zero(20)
+    with pytest.raises(OrderMismatch):
+        a + b
 
 
 def triple_loop(a, b):
@@ -573,7 +592,7 @@ def test_cyc_matrix_dots_pairs_and_orders():
     rows = [[rand_cyc(rng, 20) for _ in range(3)] for _ in range(4)]
     pairs = [(i, j) for i in range(4) for j in range(i, 4)]
     assert cyc_matrix_dots(rows, rows, pairs) == \
-        [cyc_dot(rows[i], rows[j]) for i, j in pairs]
+        [dot(rows[i], rows[j]) for i, j in pairs]
     with pytest.raises(OrderMismatch):
         cyc_matrix_dots(rows, [[CycNumber.one(16)] * 3], [(0, 0)])
 
@@ -627,3 +646,106 @@ def test_root_sum_and_times_root_match_products():
             shifted = x.times_root(e)
             assert shifted == naive_product(x, CycNumber.root_power(order, e))
             assert_canonical(shifted)
+
+
+# -- LaurentPoly arithmetic against a dict-of-Fraction reference -------------
+
+
+def ref_qint(n):
+    """[n] for n >= 1 as a dict, from its closed form."""
+    return {n - 1 - 2 * i: Fraction(1) for i in range(n)}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def rand_ref(rng):
+    """A reference dict: zero, a constant, a product of quantum integers
+    (every other coefficient zero) times a rational, or sparse terms with
+    negative exponents over mixed denominators."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return {}
+    scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 4, 6)))
+    if kind == 1:
+        return {0: scale}
+    if kind == 2:
+        out = {rng.randint(-3, 3): scale}
+        for _ in range(rng.randint(1, 3)):
+            out = ref_mul(out, ref_qint(rng.randint(1, 7)))
+        return out
+    return {rng.randint(-9, 9): Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7)))
+            for _ in range(rng.randint(1, 6))}
+
+
+def test_laurent_arithmetic_matches_fraction_reference():
+    rng = random.Random(30)
+    for n in range(1, 9):
+        assert qint(n).terms == ref_qint(n)
+    for _ in range(400):
+        da, db = rand_ref(rng), rand_ref(rng)
+        a, b = LaurentPoly(da), LaurentPoly(db)
+        assert a.terms == {e: c for e, c in da.items() if c}
+        for got, want in ((a + b, ref_add(da, db)), (a - b, ref_add(da, db, -1)),
+                          (a * b, ref_mul(da, db)), (-a, ref_add({}, da, -1)),
+                          (a + 3, ref_add(da, {0: Fraction(3)})),
+                          (a * Fraction(-2, 3), ref_mul(da, {0: Fraction(-2, 3)}))):
+            assert got.terms == want, (da, db)
+            assert_laurent_canonical(got)
+            assert fields_of(got) == fields_of(LaurentPoly(want))
+
+
+# -- integral exponents and coefficient parts --------------------------------
+
+
+def test_laurent_refuses_non_integral_exponents():
+    for terms in ({0.5: 1}, {1.0: 2}, [(Fraction(1, 2), 1)], [(0, 1), ("1", 1)]):
+        with pytest.raises(TypeError):
+            LaurentPoly(terms)
+    with pytest.raises(TypeError):
+        LaurentPoly.q_power(1.5)
+
+
+def test_laurent_from_json_refuses_non_integral_parts():
+    assert LaurentPoly.from_json([[1, 1, 1]]) == q(1)
+    for data in ([[1.7, 1, 1]], [[1, 1.5, 1]], [[1, 1, 2.0]], [[0, 1, 1], [2, "3", 1]]):
+        with pytest.raises(TypeError):
+            LaurentPoly.from_json(data)
+
+
+def test_rational_function_from_json_refuses_non_integral_parts():
+    good = {"num": [[0, 2, 1]], "den": [[0, 1, 1]]}
+    assert RationalFunction.from_json(good) == 2
+    record = _websum_to_json(WebSum.from_web(_strands(2)))
+    assert len(_websum_from_json(record)) == 1
+    for data in ({"num": [[0.5, 2, 1]], "den": [[0, 1, 1]]},
+                 {"num": [[0, 2, 1]], "den": [[0, 1, 1], [1.5, 1, 1]]}):
+        with pytest.raises(TypeError):
+            RationalFunction.from_json(data)
+        # a disk record carrying such a value is not a websum, so it is a miss
+        record["terms"][0]["coeff"] = data
+        with pytest.raises(ValueError):
+            _websum_from_json(record)
+
+
+def test_cyc_from_json_refuses_non_integral_parts():
+    x = specialize(qint(3), 20)
+    data = x.to_json()
+    assert CycNumber.from_json(data) == x
+    bad = [dict(data, order=20.0), dict(data, coeffs=[[0.5, 1]] + data["coeffs"][1:]),
+           dict(data, coeffs=[[1, 2.5]] + data["coeffs"][1:])]
+    for record in bad:
+        with pytest.raises(TypeError):
+            CycNumber.from_json(record)

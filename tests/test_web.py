@@ -1,5 +1,6 @@
 """Web data model and the face-rewriting engine."""
 
+import hashlib
 import json
 import os
 import random
@@ -11,6 +12,7 @@ import pytest
 from c2spider import cat
 from c2spider import clasp as cl
 from c2spider import engine as eng
+from c2spider import rules_data
 from c2spider import web as wb
 from c2spider.cache import ClaspCache
 from c2spider.engine import WebSum, eval_closed, reduce_sum, resolve_crossings
@@ -438,3 +440,9 @@ def test_rule_table_regenerates_byte_identical(tmp_path):
                    check=True, capture_output=True, timeout=300)
     with open(os.path.join(root, "src", "c2spider", "rules_data.py"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def test_rule_table_is_stored_as_its_hashed_string():
+    # the stored string is the canonical JSON that table_hash digests
+    assert hashlib.sha256(rules_data.RULES_JSON.encode()).hexdigest()[:16] == \
+        default_table().table_hash() == "d6243fd30c69d918"

@@ -791,15 +791,18 @@ def solve_linear(cols, target):
 
 
 def write_rules(table, path):
-    blob = table.to_json()
+    """Write the table as one compact JSON string, the bytes whose sha256
+    ``RuleTable.table_hash`` truncates; a string loads faster than a dict
+    literal compiles."""
+    blob = json.dumps(table.to_json(), sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
         fh.write('"""Frozen relation table for the C2 web engine.\n\n')
         fh.write("Generated by tools/derive_rules.py from the representation\n")
         fh.write("theory of quantum sp(4); audit with `c2spider web rules`.\n")
+        fh.write("The table is one compact JSON string (sorted keys, no spaces),\n")
+        fh.write("whose sha256 begins with the table hash.\n")
         fh.write('"""\n\n')
-        fh.write("RULES_JSON = ")
-        fh.write(json.dumps(blob, indent=1, sort_keys=True))
-        fh.write("\n")
+        fh.write(f"RULES_JSON = {blob!r}\n")
 
 
 if __name__ == "__main__":
